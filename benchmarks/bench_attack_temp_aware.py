@@ -15,7 +15,9 @@ The engine section times the vectorized temperature-aware batch path —
 sensor reads, interval interpretation and cooperative assistance in
 one NumPy pass per block — against the scalar per-query loop on twin
 devices, asserting the outcomes match query for query (seeded sensor
-streams make the construction's per-read sensor noise reproducible).
+streams make the construction's per-read sensor noise reproducible),
+and times the lock-step campaign against the per-device loop of
+``run()`` calls, asserting identical results device by device.
 """
 
 import time
@@ -26,6 +28,7 @@ from _report import record, table
 
 from repro.core import BatchOracle, HelperDataOracle, TempAwareAttack
 from repro.core.injection import break_inversions
+from repro.fleet import run_campaign
 from repro.keygen import OperatingPoint, TempAwareKeyGen
 from repro.pairing import TempAwareCooperative, \
     deterministic_selection_leakage
@@ -35,6 +38,8 @@ DEVICES = 3
 QUICK_DEVICES = 1
 BATCH_QUERIES = 400
 QUICK_BATCH_QUERIES = 60
+CAMPAIGN_DEVICES = 16
+QUICK_CAMPAIGN_DEVICES = 3
 
 
 def run_experiment(devices=DEVICES):
@@ -121,6 +126,37 @@ def run_batch_vs_scalar(queries=BATCH_QUERIES):
     return expected, observed, scalar_s, batch_s
 
 
+def _campaign_device(seed):
+    """One enrolled device with a seeded sensor (fresh twin per call)."""
+    array = ROArray(ROArrayParams(rows=8, cols=16, temp_slope_sigma=8e3),
+                    rng=400 + seed)
+    keygen = TempAwareKeyGen(t_min=-10, t_max=80, threshold=150e3,
+                             sensor_seed=500 + seed)
+    helper, _ = keygen.enroll(array, rng=seed)
+    oracle = BatchOracle(array, keygen)
+    return oracle, TempAwareAttack(oracle, keygen, helper)
+
+
+def _signature(result):
+    """Bitwise-comparable digest of one attack result."""
+    return (result.coop_relations.tolist(), result.good_bits,
+            result.queries, result.comparisons)
+
+
+def run_campaign_vs_loop(devices=CAMPAIGN_DEVICES):
+    """Per-device ``run()`` loop vs the lock-step campaign, twin fleets."""
+    attacks = [_campaign_device(seed)[1] for seed in range(devices)]
+    start = time.perf_counter()
+    loop = [attack.run() for attack in attacks]
+    loop_s = time.perf_counter() - start
+    oracles, attacks = zip(*(_campaign_device(seed)
+                             for seed in range(devices)))
+    start = time.perf_counter()
+    campaign = run_campaign(oracles, attacks)
+    campaign_s = time.perf_counter() - start
+    return loop, campaign, loop_s, campaign_s
+
+
 def test_attack_temp_aware(benchmark, quick):
     devices = QUICK_DEVICES if quick else DEVICES
     rows, leak_stats = benchmark.pedantic(run_experiment,
@@ -154,3 +190,18 @@ def test_attack_temp_aware(benchmark, quick):
         # Regression canary only; the vectorized path is typically
         # far above this floor.
         assert speedup >= 5.0
+
+    devices = QUICK_CAMPAIGN_DEVICES if quick else CAMPAIGN_DEVICES
+    loop, campaign, loop_s, campaign_s = run_campaign_vs_loop(devices)
+    for reference, observed in zip(loop, campaign):
+        assert _signature(reference) == _signature(observed), \
+            "lock-step campaign diverged from the per-device loop"
+    queries = sum(result.queries for result in campaign)
+    record("E7 — temp-aware campaign engines "
+           f"({devices} devices, bitwise-equal results)",
+           table(("engine", "wall (s)", "speedup", "oracle queries"),
+                 [("per-device run() loop", f"{loop_s:.2f}", "1.0x",
+                   queries),
+                  ("lock-step campaign", f"{campaign_s:.2f}",
+                   f"{loop_s / campaign_s if campaign_s else 0:.1f}x",
+                   queries)]))

@@ -40,7 +40,7 @@ only statistically equivalent here — see
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -210,38 +210,13 @@ class BatchOracle:
                       op: Optional[OperatingPoint] = None) -> np.ndarray:
         """Success booleans of already-taken noise rows under *helper*.
 
-        A thin driver over the two-phase evaluator protocol:
-        :meth:`plan_rows`, this plan's own kernel, finalize.  The
-        lock-step campaign bypasses this method to fuse the kernel
-        step across devices (:mod:`repro.fleet.campaign`); results are
-        bitwise-identical either way, and identical to the one-shot
-        :meth:`evaluate_rows_oneshot` reference.
+        A thin driver over the evaluator protocol: :meth:`plan_rows`,
+        this plan's own kernel, finalize.  The lock-step campaign
+        bypasses this method to fuse the kernel step across devices
+        (:mod:`repro.fleet.campaign`); results are bitwise-identical
+        either way.
         """
         return self.plan_rows(helper, rows, op).execute()
-
-    def evaluate_rows_oneshot(self, helper, rows: np.ndarray,
-                              op: Optional[OperatingPoint] = None
-                              ) -> np.ndarray:
-        """Legacy one-shot evaluation (executable equivalence reference).
-
-        Runs the evaluator's monolithic ``outcomes`` path — extraction,
-        dedup and completion in one call, no plan/kernel split.  Kept
-        executable so tests and benches can pin the two-phase driver
-        against it.
-        """
-        resolved = op if op is not None else self._op
-        if self._trajectory is not None:
-            freqs, env = self._trajectory_frequencies(rows, op)
-            evaluator = self._evaluator_for(helper, resolved)
-            if evaluator is not None:
-                return evaluator.outcomes_env(freqs, env)
-            return self._reconstruct_rows_env(helper, freqs, env,
-                                              resolved)
-        freqs = self._base_frequencies(resolved)[None, :] + rows
-        evaluator = self._evaluator_for(helper, resolved)
-        if evaluator is not None:
-            return evaluator.outcomes(freqs)
-        return self._reconstruct_rows(helper, freqs, resolved)
 
     def plan_rows(self, helper, rows: np.ndarray,
                   op: Optional[OperatingPoint] = None) -> EvalPlan:
@@ -257,41 +232,26 @@ class BatchOracle:
         resolved = op if op is not None else self._op
         if self._trajectory is not None:
             freqs, env = self._trajectory_frequencies(rows, op)
-            evaluator = self._evaluator_for(helper, resolved)
-            if evaluator is not None:
-                return evaluator.plan_env(freqs, env)
-            return EvalPlan.resolved(self._reconstruct_rows_env(
-                helper, freqs, env, resolved))
-        freqs = self._base_frequencies(resolved)[None, :] + rows
+        else:
+            freqs = self._base_frequencies(resolved)[None, :] + rows
+            env = None
         evaluator = self._evaluator_for(helper, resolved)
         if evaluator is not None:
-            return evaluator.plan(freqs)
-        return EvalPlan.resolved(
-            self._reconstruct_rows(helper, freqs, resolved))
+            return evaluator.plan(freqs, env)
+        if env is None:
+            ops = [resolved] * freqs.shape[0]
+        else:
+            ops = [OperatingPoint(float(t), float(v))
+                   for t, v in zip(env.temperatures, env.voltages)]
+        return EvalPlan.resolved(self._reconstruct_rows(helper, freqs,
+                                                        ops))
 
     def _reconstruct_rows(self, helper, freqs: np.ndarray,
-                          op: OperatingPoint) -> np.ndarray:
-        """Row-wise reconstruction fallback (no vectorized evaluator)."""
+                          ops: List[OperatingPoint]) -> np.ndarray:
+        """Row-wise reconstruction fallback (no vectorized evaluator),
+        row ``i`` at operating point ``ops[i]``."""
         outcomes = np.empty(freqs.shape[0], dtype=bool)
-        for i in range(freqs.shape[0]):
-            try:
-                self._keygen.reconstruct_from_frequencies(
-                    self._array, freqs[i], helper, op)
-            except ReconstructionFailure:
-                outcomes[i] = False
-            else:
-                outcomes[i] = True
-        return outcomes
-
-    def _reconstruct_rows_env(self, helper, freqs: np.ndarray, env,
-                              op: OperatingPoint) -> np.ndarray:
-        """Row-wise fallback with per-row ambient operating points."""
-        if env is None:
-            return self._reconstruct_rows(helper, freqs, op)
-        outcomes = np.empty(freqs.shape[0], dtype=bool)
-        for i in range(freqs.shape[0]):
-            row_op = OperatingPoint(float(env.temperatures[i]),
-                                    float(env.voltages[i]))
+        for i, row_op in enumerate(ops):
             try:
                 self._keygen.reconstruct_from_frequencies(
                     self._array, freqs[i], helper, row_op)

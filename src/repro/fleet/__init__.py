@@ -24,6 +24,7 @@ from repro.fleet.campaign import (
     LockstepCampaign,
     SequentialAttackFactory,
     TempAwareAttackFactory,
+    attack_recovered,
     run_campaign,
     sequential_attack_factory,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "SequentialAttackFactory",
     "Supervisor",
     "TempAwareAttackFactory",
+    "attack_recovered",
     "run_campaign",
     "sequential_attack_factory",
     "SharedResultBuffer",

@@ -1,31 +1,33 @@
 """Round-based lock-step execution of one attack across many devices.
 
-``Fleet.attack_success`` used to walk its device population one attack
-at a time: each worker drove one adaptive attack loop to completion,
-one distinguisher decision per oracle round trip, before touching the
-next device.  :class:`LockstepCampaign` turns that inside out.  Every
-device's attack runs as a stepwise generator
-(:mod:`repro.core.lockstep`); the campaign gathers the **frontier** —
-the pending request of every still-active device — each round and
-advances all of them together through the vectorized lane engines: one
-noise block per device, one batched bookkeeping pass per request type
-(per-device accept/reject/continue masks, variable per-device query
-counts), then the finished devices' generators resume and contribute
-their next request to the following round.
+:class:`LockstepCampaign` is the one engine behind every fleet attack
+campaign (``Fleet.attack_success`` / ``attack_results``).  Every §VI
+attack runs as a stepwise generator (:mod:`repro.core.lockstep`); the
+campaign gathers the **frontier** — the pending request of every
+still-active device — each round and advances all of them together
+through the vectorized lane engines: one noise block per device, one
+batched bookkeeping pass per request type (per-device
+accept/reject/continue masks, variable per-device query counts), one
+fused kernel call per distinct code, then the finished devices'
+generators resume and contribute their next request to the following
+round.
 
 Devices finish at different rounds; the frontier simply shrinks.
 Because every lane consumes only its own oracle's stream, in request
 order, with speculative tails unwound, per-device decisions, query
 bills and recovered keys are **bitwise-identical** to driving each
-attack alone — the property that lets the lock-step path slot under
-``Fleet.attack_success`` (lock-step within a worker, processes across
-chunks) without changing a single reported number.
+attack alone with its scalar ``run()`` on the same oracle — whatever
+the batch composition or worker count.
 
 The same property makes the campaign chunk the natural **retry unit**
 for supervised execution (:mod:`repro.fleet.resilience`): a chunk's
 ``_AttackChunkJob`` consumes only parent-derived streams against
 payload copies, so a crashed or timed-out chunk re-runs from scratch
 and lands on the same bits.
+
+The module also holds the picklable per-family attack factories and
+:func:`attack_recovered`, the one "did the attack succeed?" predicate
+shared by fleet campaigns, the sharded service and the warehouse.
 """
 
 from __future__ import annotations
@@ -33,41 +35,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.batch_oracle import BatchOracle
 from repro.core.distiller_attack import DistillerPairingAttack
 from repro.core.group_attack import GroupBasedAttack
 from repro.core.lockstep import AttackSteps, Lane, lane_engines
 from repro.core.sequential_attack import SequentialPairingAttack
-from repro.core.temp_aware_attack import TempAwareAttack
+from repro.core.temp_aware_attack import (
+    TempAwareAttack,
+    TempAwareAttackResult,
+)
 
 
 class LockstepCampaign:
     """Drives a batch of stepwise attacks in shared rounds.
 
-    Parameters
-    ----------
-    lanes:
-        One ``(oracle, steps)`` pair per device: the device's batched
-        oracle and the attack's :meth:`steps` generator.  Oracles must
-        be distinct objects — each lane owns its noise stream.
-    fused:
-        Cross-device completion fusion (default on).  Each round, the
-        frontier's evaluation requests are taken through the
-        two-phase protocol — per-device ``plan_rows``, then **one ECC
-        kernel call per distinct kernel key across every device in
-        the round** (:func:`repro.ecc.kernel.run_kernels`), then
-        per-device finalize — instead of one kernel chain per device.
-        Per-device decisions, query bills and recovered keys are
-        bitwise-identical either way (``docs/evaluators.md``); fusion
-        only amortizes the per-call fixed cost of many tiny
-        completions, the measured hot spot of campaign rounds
-        (``benchmarks/bench_campaign_fusion.py``).
+    *lanes* holds one ``(oracle, steps)`` pair per device: the
+    device's batched oracle and the attack's :meth:`steps` generator.
+    Oracles must be distinct objects — each lane owns its noise
+    stream.  Each round, the frontier's evaluation requests are taken
+    through the two-phase protocol — per-device ``plan_rows``, then
+    **one ECC kernel call per distinct kernel key across every device
+    in the round** (:func:`repro.ecc.kernel.run_kernels`), then
+    per-device finalize — which amortizes the per-call fixed cost of
+    many tiny completions (``benchmarks/bench_campaign_fusion.py``)
+    without changing any per-device result (``docs/evaluators.md``).
     """
 
-    def __init__(self, lanes: Sequence[Tuple[BatchOracle, AttackSteps]],
-                 fused: bool = True) -> None:
+    def __init__(self, lanes: Sequence[Tuple[BatchOracle, AttackSteps]]
+                 ) -> None:
         self._entries = list(lanes)
-        self._fused = bool(fused)
 
     def run(self) -> List[object]:
         """Execute every attack to completion; results in lane order.
@@ -77,7 +75,7 @@ class LockstepCampaign:
         progress; devices whose request completed are resumed
         immediately so their next request joins the very next round.
         """
-        engines = lane_engines(fused=self._fused)
+        engines = lane_engines()
         results: List[object] = [None] * len(self._entries)
         active: List[Tuple[int, AttackSteps, Lane]] = []
         for index, (oracle, steps) in enumerate(self._entries):
@@ -123,16 +121,12 @@ class LockstepCampaign:
 
 
 def run_campaign(oracles: Sequence[BatchOracle],
-                 attacks: Sequence[object],
-                 fused: bool = True) -> List[object]:
+                 attacks: Sequence[object]) -> List[object]:
     """Lock-step a batch of constructed attack drivers.
 
     Convenience wrapper pairing each attack's ``steps()`` generator
     with its device's oracle; returns the attack results in device
     order, bitwise-identical to calling each ``run()`` alone.
-    *fused* selects cross-device completion fusion (see
-    :class:`LockstepCampaign`); it changes execution grouping only,
-    never results.
     """
     if len(oracles) != len(attacks):
         raise ValueError("need exactly one oracle per attack")
@@ -144,8 +138,7 @@ def run_campaign(oracles: Sequence[BatchOracle],
             "stepwise protocol (steps())")
     return LockstepCampaign(
         [(oracle, attack.steps())
-         for oracle, attack in zip(oracles, attacks)],
-        fused=fused).run()
+         for oracle, attack in zip(oracles, attacks)]).run()
 
 
 # ----------------------------------------------------------------------
@@ -203,10 +196,8 @@ class SequentialAttackFactory:
 class TempAwareAttackFactory:
     """Picklable §VI-B temperature-aware attack factory.
 
-    The temperature-aware attack does not expose the stepwise
-    protocol, so fleets fall back to the per-device scalar loop for
-    it; the factory exists so warehouse/fleet call sites treat every
-    attack family uniformly.
+    The attack recovers cooperating-pair relations rather than a key;
+    :func:`attack_recovered` judges its results accordingly.
     """
 
     def __call__(self, oracle, keygen, helper) -> TempAwareAttack:
@@ -240,3 +231,27 @@ class DistillerAttackFactory:
         return DistillerPairingAttack(oracle, keygen, helper,
                                       self.rows, self.cols,
                                       max_joint_bits=self.max_joint_bits)
+
+
+# ----------------------------------------------------------------------
+# per-family recovery predicate
+
+
+def attack_recovered(result: object, key: np.ndarray,
+                     helper: object) -> bool:
+    """Whether one device's attack *result* recovered its secret.
+
+    Key-carrying families must reproduce the enrolled *key* exactly.
+    The §VI-B temperature-aware attack recovers only the relations of
+    the cooperating-pair bits (the tail of the key, after the masking
+    good pairs): every relation must be resolved and equal the truth.
+    """
+    if isinstance(result, TempAwareAttackResult):
+        truth = key[len(helper.scheme.good_indices):]
+        if truth.size == 0 or result.resolved_fraction != 1.0:
+            return False
+        return bool(np.array_equal(result.coop_relations,
+                                   truth ^ truth[0]))
+    recovered = getattr(result, "key", None)
+    return recovered is not None and bool(
+        np.array_equal(recovered, key))

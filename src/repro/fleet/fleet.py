@@ -41,7 +41,7 @@ import numpy as np
 from repro._rng import RNGLike, ensure_rng, spawn
 from repro.analysis.entropy import bit_bias, inter_device_distances
 from repro.core.batch_oracle import BatchOracle
-from repro.fleet.campaign import run_campaign
+from repro.fleet.campaign import attack_recovered, run_campaign
 from repro.fleet.parallel import (
     resolve_workers,
     run_collected,
@@ -60,8 +60,9 @@ from repro.puf.ro_array import ROArray
 #: across all devices while ``workers > 1`` would copy it per chunk.
 KeyGenFactory = Callable[[], KeyGenerator]
 
-#: Builds one attack driver per device; must be picklable (a
-#: module-level callable) when sweeps run with ``workers > 1``.
+#: Builds one attack driver per device, exposing the stepwise
+#: ``steps()`` protocol; must be picklable (a module-level callable)
+#: when sweeps run with ``workers > 1``.
 AttackFactory = Callable[[BatchOracle, KeyGenerator, object], object]
 
 
@@ -171,10 +172,7 @@ class _AttackChunkJob:
     """One worker's share of an attack campaign: a device chunk.
 
     The chunk is the lock-step unit — the devices listed here advance
-    through the campaign scheduler together inside one worker; with
-    ``lockstep=False`` the same chunk falls back to the per-device
-    scalar loop (one ``run()`` at a time), which is the executable
-    equivalence reference.
+    through the campaign scheduler together inside one worker.
     """
 
     arrays: List[ROArray]
@@ -184,14 +182,11 @@ class _AttackChunkJob:
     op: OperatingPoint
     attack_factory: AttackFactory
     streams: List[Tuple[np.random.Generator, np.random.Generator]]
-    lockstep: bool
-    fused: bool = True
     #: Built per-device environment trajectories (or ``None``).
     trajectories: Optional[List[object]] = None
 
 
-def _run_chunk_attacks(job: _AttackChunkJob
-                       ) -> Tuple[List[object], List[BatchOracle]]:
+def _run_chunk_attacks(job: _AttackChunkJob) -> List[object]:
     """Shared chunk body: build oracles/attacks, run the campaign.
 
     The chunk is also the supervised executor's retry unit: because
@@ -211,31 +206,14 @@ def _run_chunk_attacks(job: _AttackChunkJob
                              trajectory=trajectory)
         oracles.append(oracle)
         attacks.append(job.attack_factory(oracle, keygen, helper))
-    if job.lockstep:
-        results = run_campaign(oracles, attacks, fused=job.fused)
-    else:
-        results = [attack.run() for attack in attacks]
-    return results, oracles
+    return run_campaign(oracles, attacks)
 
 
 def _attack_chunk_job(job: _AttackChunkJob) -> List[Tuple[bool, int]]:
     """Run one chunk's attacks; ``(recovered, queries)`` per device."""
-    results, oracles = _run_chunk_attacks(job)
-    report: List[Tuple[bool, int]] = []
-    for result, oracle, key in zip(results, oracles, job.keys):
-        recovered_key = getattr(result, "key", None)
-        recovered = (recovered_key is not None
-                     and bool(np.array_equal(recovered_key, key)))
-        report.append((recovered,
-                       int(getattr(result, "queries",
-                                   oracle.queries))))
-    return report
-
-
-def _attack_results_chunk_job(job: _AttackChunkJob) -> List[object]:
-    """Run one chunk's attacks; raw result objects per device."""
-    results, _ = _run_chunk_attacks(job)
-    return results
+    return [(attack_recovered(result, key, helper), int(result.queries))
+            for result, key, helper in zip(_run_chunk_attacks(job),
+                                           job.keys, job.helpers)]
 
 
 class Fleet:
@@ -504,47 +482,30 @@ class Fleet:
                        attack_factory: AttackFactory,
                        op: OperatingPoint = OperatingPoint(),
                        workers: Optional[int] = 1,
-                       lockstep: Optional[bool] = None,
                        batch: Optional[int] = None,
-                       fused: Optional[bool] = None,
                        trajectory=None,
                        supervision=None
                        ) -> Tuple[np.ndarray, np.ndarray]:
         """Run a full helper-data attack against every device.
 
         *attack_factory(oracle, keygen, helper)* builds an attack
-        driver exposing ``run()`` with a ``key`` attribute on its
-        result; with ``workers > 1`` it must be picklable
-        (module-level).  Returns ``(recovered, queries)``: a boolean
-        key-recovery mask and the per-device ``int64`` oracle query
-        bill.
+        driver exposing the stepwise ``steps()`` protocol; with
+        ``workers > 1`` it must be picklable (module-level).  Each
+        worker advances its whole device chunk through the lock-step
+        campaign engine (:mod:`repro.fleet.campaign`), one fused
+        oracle round per distinguisher block; per-device results are
+        **bitwise-identical** to driving each attack alone.  Returns
+        ``(recovered, queries)``: a boolean recovery mask (judged by
+        :func:`~repro.fleet.campaign.attack_recovered`) and the
+        per-device ``int64`` oracle query bill.
 
         Parameters
         ----------
-        lockstep:
-            ``True`` runs the round-based lock-step campaign engine
-            (:mod:`repro.fleet.campaign`): each worker advances its
-            whole device chunk together, one fused oracle round per
-            distinguisher block.  ``False`` keeps the per-device
-            scalar loop.  ``None`` (default) auto-detects: lock-step
-            whenever the driver exposes the stepwise ``steps()``
-            protocol.  Either way the per-device results are
-            **bitwise-identical** — lock-stepping only reorders work
-            across devices, never within one device's oracle stream.
         batch:
             Devices per lock-step chunk (and per worker dispatch).
             Defaults to an even split over the resolved worker count,
             i.e. the widest batch the pool allows.  Lock-step within a
             worker composes with processes across chunks.
-        fused:
-            Cross-device completion fusion inside each lock-step
-            round: the frontier's ECC kernel work is grouped by
-            kernel key and run as one call per distinct code
-            (:mod:`repro.ecc.kernel`).  ``None`` (default) turns
-            fusion on exactly when lock-step is active; it has no
-            effect on the scalar loop.  Like *lockstep*, it changes
-            execution grouping only — per-device results stay
-            bitwise-identical.
         trajectory:
             Optional
             :class:`~repro.scenario.trajectory.TrajectorySpec`: the
@@ -570,7 +531,6 @@ class Fleet:
                      for begin in range(0, count, width)]
         jobs = self.attack_chunk_jobs(enrollment, attack_factory,
                                       spans=spans, op=op,
-                                      lockstep=lockstep, fused=fused,
                                       trajectory=trajectory,
                                       workers=workers)
         reports = run_collected(_attack_chunk_job, jobs,
@@ -588,8 +548,6 @@ class Fleet:
                           spans: Optional[Sequence[Tuple[int, int]]]
                           = None,
                           op: OperatingPoint = OperatingPoint(),
-                          lockstep: Optional[bool] = None,
-                          fused: Optional[bool] = None,
                           trajectory=None,
                           workers: Optional[int] = 1
                           ) -> List[_AttackChunkJob]:
@@ -598,28 +556,19 @@ class Fleet:
         This is the shard-aware entry point behind
         :meth:`attack_success` / :meth:`attack_results`: it derives
         the sweep substreams (advancing the population root exactly as
-        a direct campaign would), resolves the lock-step/fusion knobs,
-        and returns one self-contained, picklable
-        :class:`_AttackChunkJob` per *span* — a ``(start, stop)``
-        device range in fleet order.  *spans* default to the even
-        split :meth:`attack_success` would use for *workers*; pass
-        explicit contiguous ranges (e.g. a
-        :class:`repro.service.ShardPlan`'s) to re-chunk the campaign.
-        Per-device results are bitwise-invariant to the chunking, so
-        any span partition merges to the same outcome.
+        a direct campaign would) and returns one self-contained,
+        picklable :class:`_AttackChunkJob` per *span* — a ``(start,
+        stop)`` device range in fleet order.  *spans* default to one
+        even chunk per resolved worker; pass explicit contiguous
+        ranges (e.g. a :class:`repro.service.ShardPlan`'s) to re-chunk
+        the campaign.  Per-device results are bitwise-invariant to the
+        chunking, so any span partition merges to the same outcome.
         """
         count = len(self._arrays)
         streams = self._sweep_streams()
         trajectories = self._build_trajectories(trajectory)
-        if lockstep is None:
-            lockstep = self._supports_lockstep(enrollment,
-                                               attack_factory, op)
-        if fused is None:
-            fused = bool(lockstep)
         if spans is None:
-            resolved = resolve_workers(workers, count)
-            chunks = max(1, min(count,
-                                resolved if lockstep else 4 * resolved))
+            chunks = resolve_workers(workers, count)
             width = -(-count // chunks)
             spans = [(begin, min(begin + width, count))
                      for begin in range(0, count, width)]
@@ -636,8 +585,7 @@ class Fleet:
                 [enrollment.helpers[i] for i in indices],
                 [enrollment.keys[i] for i in indices],
                 op, attack_factory,
-                [streams[i] for i in indices], bool(lockstep),
-                bool(fused),
+                [streams[i] for i in indices],
                 None if trajectories is None
                 else [trajectories[i] for i in indices]))
         return jobs
@@ -645,8 +593,6 @@ class Fleet:
     def attack_results(self, enrollment: FleetEnrollment,
                        attack_factory: AttackFactory,
                        op: OperatingPoint = OperatingPoint(),
-                       lockstep: Optional[bool] = None,
-                       fused: Optional[bool] = None,
                        trajectory=None,
                        workers: Optional[int] = 1,
                        supervision=None) -> List[object]:
@@ -663,61 +609,19 @@ class Fleet:
         call observes — whatever *workers* is, and whether or not a
         supervised run had to retry chunks.
 
-        *lockstep* / *fused* / *trajectory* / *supervision* mean what
-        they mean on :meth:`attack_success`; ``None`` auto-detects
-        the stepwise protocol and fuses exactly when lock-stepping.
-        The default ``workers=1`` without supervision keeps the
-        historical single-process path (results built in this
-        process); otherwise chunks dispatch through the pool or the
-        supervised executor, and result objects must be picklable.
+        *trajectory* / *supervision* mean what they mean on
+        :meth:`attack_success`.  The default ``workers=1`` without
+        supervision runs the whole fleet as one chunk in this process
+        (no payload copies); otherwise chunks dispatch through the
+        pool or the supervised executor, and result objects must be
+        picklable.
         """
-        count = len(self._arrays)
-        if lockstep is None:
-            lockstep = self._supports_lockstep(enrollment,
-                                               attack_factory, op)
-        if fused is None:
-            fused = bool(lockstep)
-        resolved = resolve_workers(workers, count)
-        if resolved == 1 and supervision is None:
-            streams = self._sweep_streams()
-            trajectories = self._build_trajectories(trajectory)
-            built = ([None] * count if trajectories is None
-                     else trajectories)
-            oracles: List[BatchOracle] = []
-            attacks: List[object] = []
-            for array, keygen, helper, (stream, transient), traj in \
-                    zip(self._arrays, enrollment.keygens,
-                        enrollment.helpers, streams, built):
-                keygen.reseed_transient_streams(transient)
-                oracle = BatchOracle(array, keygen, op=op, rng=stream,
-                                     trajectory=traj)
-                oracles.append(oracle)
-                attacks.append(attack_factory(oracle, keygen, helper))
-            if lockstep:
-                return run_campaign(oracles, attacks,
-                                    fused=bool(fused))
-            return [attack.run() for attack in attacks]
         jobs = self.attack_chunk_jobs(enrollment, attack_factory,
-                                      op=op, lockstep=lockstep,
-                                      fused=fused,
-                                      trajectory=trajectory,
+                                      op=op, trajectory=trajectory,
                                       workers=workers)
-        reports = run_collected(_attack_results_chunk_job, jobs,
+        if len(jobs) == 1 and supervision is None:
+            return _run_chunk_attacks(jobs[0])
+        reports = run_collected(_run_chunk_attacks, jobs,
                                 workers=workers, shared=self._arrays,
                                 supervision=supervision)
         return [result for report in reports for result in report]
-
-    def _supports_lockstep(self, enrollment: FleetEnrollment,
-                           attack_factory: AttackFactory,
-                           op: OperatingPoint) -> bool:
-        """Probe whether the factory's drivers speak the stepwise
-        protocol (a throwaway driver build; no oracle queries)."""
-        try:
-            probe = attack_factory(
-                BatchOracle(self._arrays[0], enrollment.keygens[0],
-                            op=op),
-                enrollment.keygens[0], enrollment.helpers[0])
-        except Exception:
-            # Let the real dispatch surface construction errors.
-            return False
-        return hasattr(probe, "steps")

@@ -215,14 +215,12 @@ class KeyGenerator(abc.ABC):
         measurements would observe.  ``None`` means callers must fall
         back to row-wise :meth:`reconstruct_from_frequencies`.
 
-        Evaluators speak two equivalent protocols (see
-        ``docs/evaluators.md``): the one-shot ``outcomes(freqs)``
-        reference call, and the two-phase ``plan(freqs)`` →
-        fused-kernel → ``EvalPlan.finalize(outputs)`` split that lets
-        a lock-step campaign stack the ECC kernel work of every
-        device sharing a code into one call.  All shipped schemes
-        return two-phase-capable evaluators built on
-        :class:`repro.keygen.batch.SketchCompletion`.
+        Evaluators speak one protocol (see ``docs/evaluators.md``):
+        ``plan(freqs, env=None)`` → fused kernel →
+        ``EvalPlan.finalize(outputs)``, which lets a lock-step
+        campaign stack the ECC kernel work of every device sharing a
+        code into one call.  All shipped schemes build their
+        evaluators on :class:`repro.keygen.batch.SketchCompletion`.
         """
         return None
 

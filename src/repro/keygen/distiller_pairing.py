@@ -194,10 +194,10 @@ class DistillerPairingKeyGen(KeyGenerator):
         distiller = self._distiller
         distiller_helper = helper.distiller
 
-        def extract(freqs: np.ndarray) -> np.ndarray:
+        def extract(freqs: np.ndarray, env):
             residuals = distiller.residuals_batch(x, y, freqs,
                                                   distiller_helper)
-            return response_bits_batch(residuals, pairs)
+            return response_bits_batch(residuals, pairs), None
 
         return ResponseBitEvaluator(
             extract, SketchCompletion(sketch, helper.sketch,

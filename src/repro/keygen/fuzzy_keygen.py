@@ -141,8 +141,8 @@ class FuzzyExtractorKeyGen(KeyGenerator):
         except ValueError:
             return ConstantEvaluator(False)
 
-        def extract(freqs: np.ndarray) -> np.ndarray:
-            return response_bits_batch(freqs, pairs)
+        def extract(freqs: np.ndarray, env):
+            return response_bits_batch(freqs, pairs), None
 
         completion = SketchCompletion(
             sketch, extractor_helper.sketch, helper.key_check,

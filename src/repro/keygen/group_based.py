@@ -222,10 +222,10 @@ class GroupBasedKeyGen(KeyGenerator):
         distiller = self._distiller
         distiller_helper = helper.distiller
 
-        def extract(freqs: np.ndarray) -> np.ndarray:
+        def extract(freqs: np.ndarray, env):
             residuals = distiller.residuals_batch(x, y, freqs,
                                                   distiller_helper)
-            return kendall_stream_batch(residuals, grouping)
+            return kendall_stream_batch(residuals, grouping), None
 
         completion = SketchCompletion(
             sketch, helper.sketch, helper.key_check,

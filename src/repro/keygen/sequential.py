@@ -121,8 +121,8 @@ class SequentialPairingKeyGen(KeyGenerator):
             return ConstantEvaluator(False)
         sketch = self.sketch_for(len(pairs))
 
-        def extract(freqs: np.ndarray) -> np.ndarray:
-            return response_bits_batch(freqs, pairs)
+        def extract(freqs: np.ndarray, env):
+            return response_bits_batch(freqs, pairs), None
 
         return ResponseBitEvaluator(
             extract, SketchCompletion(sketch, helper.sketch,

@@ -26,7 +26,7 @@ from repro.keygen.base import (
 )
 from repro.keygen.batch import (
     ConstantEvaluator,
-    MaskedBitEvaluator,
+    ResponseBitEvaluator,
     SketchCompletion,
 )
 from repro.pairing.temp_aware import TempAwareCooperative, TempAwareHelper
@@ -142,24 +142,16 @@ class TempAwareKeyGen(KeyGenerator):
         except ValueError:
             return ConstantEvaluator(False)
 
-        def extract(freqs: np.ndarray):
+        def extract(freqs: np.ndarray, env):
             # One sensor read per query, exactly as on the scalar
             # path: a (B,) batch draw consumes the sensor stream like
-            # B successive scalar reads.
-            sensed = sensor.read_batch(temperature, freqs.shape[0],
-                                       rng=sensor_rng)
+            # B successive scalar reads.  Trajectory-driven blocks
+            # read each row's own ambient temperature.
+            sensed = sensor.read_batch(
+                temperature if env is None else env.temperatures,
+                freqs.shape[0], rng=sensor_rng)
             return scheme.evaluate_batch(freqs, scheme_helper, sensed)
 
-        def extract_env(freqs: np.ndarray, env):
-            # Trajectory-driven blocks: the ambient varies per query,
-            # so the sensor reads each row's own temperature — same
-            # stream, same per-query consumption as the scalar path.
-            sensed = sensor.read_batch(env.temperatures,
-                                       freqs.shape[0],
-                                       rng=sensor_rng)
-            return scheme.evaluate_batch(freqs, scheme_helper, sensed)
-
-        return MaskedBitEvaluator(
+        return ResponseBitEvaluator(
             extract, SketchCompletion(sketch, helper.sketch,
-                                      helper.key_check),
-            extract_env=extract_env)
+                                      helper.key_check))

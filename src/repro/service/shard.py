@@ -27,8 +27,8 @@ import numpy as np
 from repro.ecc.kernel import kernel_stats
 from repro.fleet.fleet import (
     _attack_chunk_job,
-    _attack_results_chunk_job,
     _failure_rate_job,
+    _run_chunk_attacks,
 )
 from repro.fleet.parallel import chunk_indices
 
@@ -166,7 +166,7 @@ def execute_shard(kind: str, jobs: Sequence[object],
                                 dtype=np.int64)}
     else:
         (job,) = jobs
-        results = _attack_results_chunk_job(job)
+        results = _run_chunk_attacks(job)
         if tripwire is not None:
             tripwire.step()
         data = {"results": list(results)}

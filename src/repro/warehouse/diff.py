@@ -2,7 +2,7 @@
 
 ``repro warehouse diff STORE BASE CURRENT`` loads the latest record
 per cell for each commit and reports, per cell: status transitions,
-security deltas (key-recovery rate, query bills, outcome-fingerprint
+engine changes, security deltas (key-recovery rate, query bills, outcome-fingerprint
 movement) and timing deltas.  Security outcomes are deterministic
 functions of the configuration seed, so a security delta between
 commits is a real behavioural change of the code — the exact signal
@@ -86,6 +86,9 @@ def diff_matrices(base: Dict[str, Dict[str, object]],
             continue
         if old["status"] != "ok":
             continue
+        if old.get("engine") != new.get("engine"):
+            lines.append(f"  ENGINE    {cell}: {old.get('engine')} -> "
+                         f"{new.get('engine')}")
         deltas = _security_delta(cell, old["security"],
                                  new["security"])
         if deltas:

@@ -2,9 +2,8 @@
 
 Each runnable cell manufactures a seeded device fleet, enrolls its
 scheme, and drives its attack family across the whole population
-through the existing engines — the lock-step/fused campaign scheduler
-for every stepwise attack, the per-device scalar loop for the
-temperature-aware family — then condenses the outcome into one record:
+through the lock-step/fused campaign scheduler — the one engine every
+§VI attack family runs on — then condenses the outcome into one record:
 per-device key-recovery mask and query bills, a comparer-decisions
 fingerprint, an enrollment fingerprint through the specified storage
 format, and wall/kernel timings.
@@ -36,6 +35,7 @@ from repro.fleet import (
     GroupAttackFactory,
     SequentialAttackFactory,
     TempAwareAttackFactory,
+    attack_recovered,
 )
 from repro.keygen import (
     DistillerPairingKeyGen,
@@ -124,32 +124,6 @@ def _attack_factory(cell: MatrixCell) -> Callable:
     if cell.attack == "temp-aware":
         return TempAwareAttackFactory()
     raise ValueError(f"no attack factory for family {cell.attack!r}")
-
-
-def _check_key(result: object, key: np.ndarray,
-               helper: object) -> bool:
-    """Key-carrying families: the recovered key must match enrolled."""
-    recovered = getattr(result, "key", None)
-    return recovered is not None and bool(
-        np.array_equal(recovered, key))
-
-
-def _check_temp_aware(result: object, key: np.ndarray,
-                      helper: object) -> bool:
-    """§VI-B recovers relations of the cooperating-pair bits only."""
-    n_good = len(helper.scheme.good_indices)
-    truth = key[n_good:]
-    if truth.size == 0 or result.resolved_fraction != 1.0:
-        return False
-    return bool(np.array_equal(result.coop_relations,
-                               truth ^ truth[0]))
-
-
-def _recovery_check(cell: MatrixCell) -> Callable:
-    """Per-family predicate deciding whether an attack recovered."""
-    if cell.attack == "temp-aware":
-        return _check_temp_aware
-    return _check_key
 
 
 def _device_payload(result: object, recovered: bool
@@ -318,12 +292,10 @@ def _run_runnable(cell: MatrixCell, devices: int, seed: int,
                                    devices, workers=workers,
                                    supervision=supervision)
 
-    lockstep = cell.attack != "temp-aware"
     kernel_before = (kernel_stats.calls, kernel_stats.rows,
                      kernel_stats.seconds)
     start = time.perf_counter()
     results = fleet.attack_results(enrollment, _attack_factory(cell),
-                                   lockstep=lockstep,
                                    workers=workers,
                                    supervision=supervision)
     attack_seconds = time.perf_counter() - start
@@ -331,12 +303,11 @@ def _run_runnable(cell: MatrixCell, devices: int, seed: int,
     kernel_rows = kernel_stats.rows - kernel_before[1]
     kernel_seconds = kernel_stats.seconds - kernel_before[2]
 
-    check = _recovery_check(cell)
     payloads: List[Dict[str, object]] = []
     for result, key, helper in zip(results, enrollment.keys,
                                    enrollment.helpers):
         payloads.append(_device_payload(
-            result, check(result, key, helper)))
+            result, attack_recovered(result, key, helper)))
     recovered = sum(1 for p in payloads if p["recovered"])
     queries = [int(p["queries"]) for p in payloads]
     security = {
@@ -360,8 +331,8 @@ def _run_runnable(cell: MatrixCell, devices: int, seed: int,
         "kernel_calls": int(kernel_calls),
         "kernel_rows": int(kernel_rows),
     }
-    engine = "lockstep-fused" if lockstep else "scalar"
-    return {"engine": engine, "security": security, "perf": perf}
+    return {"engine": "lockstep-fused", "security": security,
+            "perf": perf}
 
 
 def _run_reconstruction(fleet: Fleet, enrollment, enroll_seconds,

@@ -4,7 +4,12 @@ The contract under test (``docs/attacks.md``): executing one attack
 across many devices in lock-step rounds must reproduce, per device, the
 exact decisions, query counts, comparer outcomes and recovered keys of
 driving that device's attack alone — for every batch composition and
-worker count.
+worker count.  The per-device reference is the attack's own ``run()``:
+on a scalar ``HelperDataOracle`` where scalar and batched simulation
+are bitwise-equal, on a per-device ``BatchOracle`` for the
+temperature-aware attack (its speculative sensor reads make the two
+oracles only statistically equal, see
+``tests/core/test_batch_oracle.py::TestTempAwareBatch``).
 """
 
 import functools
@@ -23,6 +28,10 @@ from repro.fleet import (
     Fleet,
     GroupAttackFactory,
     LockstepCampaign,
+    RetryPolicy,
+    Supervisor,
+    TempAwareAttackFactory,
+    attack_recovered,
     run_campaign,
     sequential_attack_factory,
 )
@@ -30,16 +39,54 @@ from repro.keygen import (
     DistillerPairingKeyGen,
     GroupBasedKeyGen,
     SequentialPairingKeyGen,
+    TempAwareKeyGen,
 )
 from repro.puf import FIG6_PARAMS, ROArray, ROArrayParams
+from repro.service import PopulationSpec, submit_sweep
+from repro.service.shard import KIND_ATTACK, KIND_ATTACK_RESULTS
 
 # Small geometries keep the scalar reference loops cheap; the engine
 # paths exercised are identical to the full-size arrays'.
 PARAMS = ROArrayParams(rows=4, cols=12)
+TEMP_POPULATION = PopulationSpec(
+    ROArrayParams(rows=8, cols=16, temp_slope_sigma=8e3), devices=8,
+    seed=5)
 
 
 def sequential_factory():
     return SequentialPairingKeyGen(threshold=300e3)
+
+
+temp_aware_factory = functools.partial(TempAwareKeyGen, -10, 80, 90e3)
+
+
+def per_device_reference(fleet, enrollment, attack_factory):
+    """Per-device ``run()`` on its own ``BatchOracle``, fed the same
+    sweep substreams a campaign on *fleet* would derive."""
+    (job,) = fleet.attack_chunk_jobs(enrollment, attack_factory,
+                                     spans=[(0, len(fleet))])
+    results = []
+    for array, keygen, helper, (stream, transient) in zip(
+            job.arrays, job.keygens, job.helpers, job.streams):
+        keygen.reseed_transient_streams(transient)
+        oracle = BatchOracle(array, keygen, rng=stream)
+        results.append(attack_factory(oracle, keygen, helper).run())
+    return results
+
+
+def assert_same_results(reference, observed):
+    """Bitwise equality of two per-device result lists."""
+    assert len(reference) == len(observed)
+    for want, got in zip(reference, observed):
+        assert type(want) is type(got)
+        assert want.queries == got.queries
+        assert want.comparisons == got.comparisons
+        for attr in ("key", "relations", "coop_relations"):
+            if hasattr(want, attr):
+                np.testing.assert_array_equal(getattr(want, attr),
+                                              getattr(got, attr))
+        assert getattr(want, "good_bits", None) == \
+            getattr(got, "good_bits", None)
 
 
 def build_sequential(seed):
@@ -191,25 +238,22 @@ class TestCampaignEquivalence:
     def test_fused_rounds_match_per_device_rounds(self, family, build,
                                                   attack):
         # Cross-device completion fusion is an execution regrouping
-        # only: keys, query bills and comparer outcomes must be
-        # bitwise-identical with and without it.
-        outcomes = {}
-        for fused in (False, True):
-            devices = 3 if family == "sequential" else 2
-            oracles, attacks = [], []
-            for seed in range(devices):
-                array, keygen, helper, _ = build(seed)
-                oracle = BatchOracle(array, keygen)
-                oracles.append(oracle)
-                attacks.append(attack(oracle, keygen, helper))
-            outcomes[fused] = run_campaign(oracles, attacks,
-                                           fused=fused)
-        for reference, observed in zip(outcomes[False],
-                                       outcomes[True]):
-            np.testing.assert_array_equal(reference.key, observed.key)
-            assert reference.queries == observed.queries
-            assert (getattr(reference, "comparisons", None)
-                    == getattr(observed, "comparisons", None))
+        # only: keys, query bills and comparer outcomes must equal each
+        # device's own run() on its BatchOracle (one kernel chain per
+        # device) bitwise.
+        devices = 3 if family == "sequential" else 2
+        per_device = []
+        for seed in range(devices):
+            array, keygen, helper, _ = build(seed)
+            per_device.append(attack(BatchOracle(array, keygen), keygen,
+                                     helper).run())
+        oracles, attacks = [], []
+        for seed in range(devices):
+            array, keygen, helper, _ = build(seed)
+            oracle = BatchOracle(array, keygen)
+            oracles.append(oracle)
+            attacks.append(attack(oracle, keygen, helper))
+        assert_same_results(per_device, run_campaign(oracles, attacks))
 
     def test_non_stepwise_driver_rejected(self):
         array, keygen, helper, _ = build_sequential(0)
@@ -225,51 +269,96 @@ class TestCampaignEquivalence:
 
 
 class TestFleetLockstep:
-    """attack_success: lock-step x batch x workers invariance."""
+    """attack_success: family x batch x workers invariance."""
+
+    @staticmethod
+    def fresh(temp_aware):
+        """A fresh same-seed enrolled fleet and its attack factory."""
+        if temp_aware:
+            # Built like the service builds it, so service sweeps of
+            # TEMP_POPULATION share the substreams.
+            fleet, enroll_rng = TEMP_POPULATION.build()
+            enrollment = fleet.enroll(temp_aware_factory,
+                                      seed=enroll_rng)
+            return fleet, enrollment, TempAwareAttackFactory()
+        fleet = Fleet(PARAMS, size=8, seed=31)
+        enrollment = fleet.enroll(sequential_factory, seed=6)
+        return fleet, enrollment, sequential_attack_factory
 
     @pytest.fixture(scope="class")
     def reference(self):
-        fleet = Fleet(PARAMS, size=8, seed=31)
-        enrollment = fleet.enroll(sequential_factory, seed=6)
-        return fleet.attack_success(enrollment,
-                                    sequential_attack_factory,
-                                    workers=1, lockstep=False)
+        references = {}
+        for temp_aware in (True, False):
+            fleet, enrollment, factory = self.fresh(temp_aware)
+            results = per_device_reference(fleet, enrollment, factory)
+            recovered = [attack_recovered(result, key, helper)
+                         for result, key, helper in zip(
+                             results, enrollment.keys,
+                             enrollment.helpers)]
+            references[temp_aware] = (
+                np.array(recovered),
+                np.array([result.queries for result in results]))
+        return references
 
-    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("temp_aware", [True, False])
     @pytest.mark.parametrize("batch", [1, 3, 8])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lockstep_invariance(self, reference, batch, workers,
-                                 fused):
-        # The acceptance matrix of the fusion PR: fused and per-device
-        # lock-step rounds must both reproduce the scalar-loop
-        # reference for every batch composition and worker count.
-        fleet = Fleet(PARAMS, size=8, seed=31)
-        enrollment = fleet.enroll(sequential_factory, seed=6)
+                                 temp_aware):
+        # The fused lock-step campaign must reproduce the per-device
+        # run() reference for every batch composition and worker count,
+        # for the sequential and the temperature-aware attack alike.
+        fleet, enrollment, factory = self.fresh(temp_aware)
         recovered, queries = fleet.attack_success(
-            enrollment, sequential_attack_factory, workers=workers,
-            lockstep=True, batch=batch, fused=fused)
-        np.testing.assert_array_equal(recovered, reference[0])
-        np.testing.assert_array_equal(queries, reference[1])
-        assert recovered.all()
+            enrollment, factory, workers=workers, batch=batch)
+        np.testing.assert_array_equal(recovered, reference[temp_aware][0])
+        np.testing.assert_array_equal(queries, reference[temp_aware][1])
+        if temp_aware:
+            # The §VI-B attack misses the odd device statistically
+            # (one of these eight).
+            assert recovered.any()
+        else:
+            assert recovered.all()
 
-    def test_auto_detection_uses_lockstep(self):
-        # The stepwise drivers are auto-detected; results match the
-        # forced settings either way.
-        fleet = Fleet(PARAMS, size=3, seed=32)
-        enrollment = fleet.enroll(sequential_factory, seed=7)
-        auto = fleet.attack_success(enrollment,
-                                    sequential_attack_factory)
-        fleet = Fleet(PARAMS, size=3, seed=32)
-        enrollment = fleet.enroll(sequential_factory, seed=7)
-        forced = fleet.attack_success(enrollment,
-                                      sequential_attack_factory,
-                                      lockstep=True)
-        np.testing.assert_array_equal(auto[0], forced[0])
-        np.testing.assert_array_equal(auto[1], forced[1])
+    def test_temp_aware_results_match_per_device_reference(self):
+        # Supervised and 2-shard service campaigns reproduce each
+        # device's own run() bitwise, like the unsupervised matrix.
+        fleet, enrollment, factory = self.fresh(True)
+        reference = per_device_reference(fleet, enrollment, factory)
+        fleet, enrollment, factory = self.fresh(True)
+        assert_same_results(reference, fleet.attack_results(
+            enrollment, factory, workers=2,
+            supervision=Supervisor(RetryPolicy())))
+        handle = submit_sweep(TEMP_POPULATION, temp_aware_factory,
+                              KIND_ATTACK_RESULTS,
+                              attack_factory=factory, shards=2,
+                              workers=2)
+        assert_same_results(reference, handle.collect())
 
-    def test_legacy_run_only_driver_falls_back(self):
-        # A driver without steps() still works through the scalar path
-        # under auto detection.
+    def test_temp_aware_recovery_agrees_with_predicate(self):
+        # Temp-aware results carry relations, not a key: fleet and
+        # service summaries must judge them with the warehouse's
+        # predicate.
+        fleet, enrollment, factory = self.fresh(True)
+        results = fleet.attack_results(enrollment, factory)
+        expected = [attack_recovered(result, key, helper)
+                    for result, key, helper in zip(
+                        results, enrollment.keys, enrollment.helpers)]
+        assert any(expected)
+        fleet, enrollment, factory = self.fresh(True)
+        recovered, queries = fleet.attack_success(enrollment, factory)
+        assert recovered.tolist() == expected
+        assert queries.tolist() == [result.queries for result in results]
+        handle = submit_sweep(TEMP_POPULATION, temp_aware_factory,
+                              KIND_ATTACK, attack_factory=factory,
+                              shards=2, workers=2)
+        merged_recovered, merged_queries = handle.collect()
+        assert merged_recovered.tolist() == expected
+        np.testing.assert_array_equal(merged_queries, queries)
+
+    def test_run_only_driver_rejected(self):
+        # Every fleet campaign runs lock-step: a driver without the
+        # stepwise protocol is refused, not silently run scalar.
         class RunOnly:
             def __init__(self, attack):
                 self._attack = attack
@@ -283,9 +372,8 @@ class TestFleetLockstep:
 
         fleet = Fleet(PARAMS, size=2, seed=33)
         enrollment = fleet.enroll(sequential_factory, seed=8)
-        recovered, queries = fleet.attack_success(enrollment, factory)
-        assert recovered.all()
-        assert (queries > 0).all()
+        with pytest.raises(TypeError, match="steps"):
+            fleet.attack_success(enrollment, factory)
 
     def test_group_attack_factory_through_fleet(self):
         fleet = Fleet(FIG6_PARAMS, size=2, seed=34)
@@ -293,8 +381,7 @@ class TestFleetLockstep:
             functools.partial(GroupBasedKeyGen, distiller_degree=2,
                               group_threshold=120e3), seed=9)
         recovered, queries = fleet.attack_success(
-            enrollment, GroupAttackFactory(4, 10), workers=2,
-            lockstep=True)
+            enrollment, GroupAttackFactory(4, 10), workers=2)
         assert recovered.all()
         assert (queries > 0).all()
 

@@ -4,15 +4,15 @@ Satellite of the scenario-engine PR: for all five keygen
 constructions, a ``BatchOracle`` driven by a constant
 :class:`TrajectorySpec` pinned at ``(T, V)`` must produce outcomes
 byte-for-byte equal to a twin device queried the historical way at
-``OperatingPoint(T, V)`` — through both the one-shot batch evaluator
-and the two-phase plan/finalize driver — and the fleet sweeps must
-preserve the same identity.
+``OperatingPoint(T, V)`` — one scalar ``HelperDataOracle`` query at
+a time, or through the batched plan/finalize driver — and the fleet
+sweeps must preserve the same identity.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import BatchOracle
+from repro.core import BatchOracle, HelperDataOracle
 from repro.fleet import Fleet
 from repro.keygen import (
     DistillerPairingKeyGen,
@@ -47,14 +47,26 @@ SCHEMES = {
 }
 
 
+def scalar_outcomes(oracle, helper, count, op=None):
+    """*count* one-at-a-time scalar queries on *oracle*'s twin device.
+
+    A :class:`HelperDataOracle` over the batched oracle's device and
+    keygen: the scalar reference, drawing the same noise (and, for
+    temp-aware, sensor) streams row by row.
+    """
+    scalar = HelperDataOracle(oracle.array, oracle.keygen,
+                              op=oracle.default_op)
+    return np.array([scalar.query(helper, op) for _ in range(count)])
+
+
 def oracle_pair(params, make_keygen, trajectory_spec,
                 device_seed=77, enroll_seed=5,
                 op=OperatingPoint()):
     """Twin devices: a trajectory-driven oracle and a scalar one.
 
-    Separate keygen instances (from the same factory and seeds) keep
-    per-instance transient streams — the temp-aware sensor — from
-    interleaving between the two oracles.
+    Separate keygen instances (from the same factory and seeds — the
+    temp-aware twins share a sensor seed) keep per-instance transient
+    streams from interleaving between the two oracles.
     """
     scalar_array = ROArray(params, rng=device_seed)
     traj_array = ROArray(params, rng=device_seed)
@@ -79,9 +91,10 @@ class TestConstantTrajectoryEquivalence:
         scalar, h_s, trajectory, h_t = oracle_pair(
             params, make_keygen, spec,
             op=OperatingPoint(TEMP, VOLT))
-        expected = scalar.evaluate_rows_oneshot(
-            h_s, scalar.take_rows(96))
-        observed = trajectory.evaluate_rows_oneshot(
+        # One-shot scalar queries, row by row, against the
+        # trajectory-driven batch path.
+        expected = scalar_outcomes(scalar, h_s, 96)
+        observed = trajectory.evaluate_rows(
             h_t, trajectory.take_rows(96))
         np.testing.assert_array_equal(expected, observed)
 
@@ -102,9 +115,8 @@ class TestConstantTrajectoryEquivalence:
         scalar, h_s, trajectory, h_t = oracle_pair(
             params, make_keygen, TrajectorySpec())
         np.testing.assert_array_equal(
-            scalar.evaluate_rows_oneshot(h_s, scalar.take_rows(64)),
-            trajectory.evaluate_rows_oneshot(
-                h_t, trajectory.take_rows(64)))
+            scalar_outcomes(scalar, h_s, 64),
+            trajectory.evaluate_rows(h_t, trajectory.take_rows(64)))
 
     def test_blocking_invariance_under_trajectory(self):
         params, make_keygen = SCHEMES["sequential"]
@@ -114,7 +126,7 @@ class TestConstantTrajectoryEquivalence:
             _, _, oracle, helper = oracle_pair(params, make_keygen,
                                                spec)
             outcomes.append(np.concatenate(
-                [oracle.evaluate_rows_oneshot(
+                [oracle.evaluate_rows(
                     helper, oracle.take_rows(block))
                  for block in blocks]))
         for observed in outcomes[1:]:
@@ -129,9 +141,8 @@ class TestExplicitOpOverride:
         scalar, h_s, trajectory, h_t = oracle_pair(
             params, make_keygen, hot)
         chamber = OperatingPoint(temperature=25.0)
-        expected = scalar.evaluate_rows_oneshot(
-            h_s, scalar.take_rows(64), op=chamber)
-        observed = trajectory.evaluate_rows_oneshot(
+        expected = scalar_outcomes(scalar, h_s, 64, op=chamber)
+        observed = trajectory.evaluate_rows(
             h_t, trajectory.take_rows(64), op=chamber)
         np.testing.assert_array_equal(expected, observed)
 
@@ -144,10 +155,9 @@ class TestExplicitOpOverride:
         scalar, h_s, aged, h_t = oracle_pair(params, make_keygen,
                                              aged_spec)
         chamber = OperatingPoint(temperature=25.0)
-        fresh = scalar.evaluate_rows_oneshot(
-            h_s, scalar.take_rows(64), op=chamber)
-        drifted = aged.evaluate_rows_oneshot(
-            h_t, aged.take_rows(64), op=chamber)
+        fresh = scalar_outcomes(scalar, h_s, 64, op=chamber)
+        drifted = aged.evaluate_rows(h_t, aged.take_rows(64),
+                                     op=chamber)
         assert fresh.mean() > drifted.mean()
 
 

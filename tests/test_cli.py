@@ -69,25 +69,6 @@ class TestFleet:
 
         assert stats(sequential) == stats(parallel)
 
-    def test_fused_knob_does_not_change_the_campaign(self, capsys):
-        # --fused / --no-fused select cross-device kernel fusion in
-        # the lock-step rounds; recovered keys and query bills must be
-        # identical, and the engine line must name the mode.
-        base_args = ["fleet", "--devices", "2", "--attack",
-                     "sequential", "--seed", "3"]
-        assert main(base_args + ["--fused"]) == 0
-        fused = capsys.readouterr().out
-        assert "fused kernels" in fused
-        assert main(base_args + ["--no-fused"]) == 0
-        per_device = capsys.readouterr().out
-        assert "per-device kernels" in per_device
-
-        def stats(report):
-            return [line for line in report.splitlines()
-                    if "time" not in line and "engine" not in line]
-
-        assert stats(fused) == stats(per_device)
-
 
 class TestParser:
     def test_missing_command_rejected(self):

@@ -183,6 +183,21 @@ class TestSummaryAndDiff:
         assert result.changed
         assert result.security_changes == 1
 
+    def test_diff_reports_engine_changes(self, distiller_records):
+        # An engine change is informational: it is listed, but it is
+        # not a security change when the outcomes did not move.
+        record, replay = distiller_records
+        import copy
+
+        relabelled = copy.deepcopy(replay)
+        relabelled["engine"] = "other-engine"
+        result = diff_matrices({DISTILLER: record},
+                               {DISTILLER: relabelled},
+                               timing_threshold=10.0)
+        assert any(line.startswith("  ENGINE") and "other-engine" in line
+                   for line in result.lines)
+        assert not result.changed
+
     def test_diff_reports_coverage_changes(self, distiller_records):
         record, _ = distiller_records
         result = diff_matrices({}, {DISTILLER: record})
