@@ -17,7 +17,7 @@ Subcommands
     family.
 ``fleet``
     Manufacture a device population and run a chunked Monte-Carlo
-    failure-rate sweep, optionally split across a process pool
+    failure-rate sweep, optionally split across worker processes
     (``--workers N``); results are bitwise-identical for every worker
     count.  With ``--attack CONSTRUCTION`` the sweep becomes a
     fleet-wide helper-data attack campaign executed by the lock-step
@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--chunk", type=int, default=512,
                        help="trial block size (memory bound)")
     fleet.add_argument("--workers", type=int, default=1,
-                       help="process-pool width; 0 = one per CPU "
+                       help="worker processes; 0 = one per CPU "
                             "(results are identical for every value)")
     fleet.add_argument("--temperature", type=float, default=None,
                        help="operating temperature of the sweep (°C)")

@@ -2,15 +2,17 @@
 
 Manufactures many IC samples from one seed and sweeps reliability,
 entropy and attack-success statistics across the population with
-chunked, vectorized execution — optionally split across a process pool
-(``workers=N``) with shared-memory result buffers and bitwise
-worker-count-invariant results (see ``docs/fleet.md``).  Attack
+chunked, vectorized execution — optionally split across long-lived
+worker processes (``workers=N``) with bitwise worker-count-invariant
+results (see ``docs/fleet.md``).  Attack
 campaigns run through the round-based lock-step engine
 (:mod:`repro.fleet.campaign`): one attack advanced across a whole
 device batch per distinguisher round, bitwise-identical to the
 per-device scalar loop (see ``docs/attacks.md``).
 
-Sweeps optionally run **supervised** (``supervision=Supervisor(...)``):
+Parallel sweeps and the sharded service (:mod:`repro.service`) share
+one executor (:func:`repro.fleet.resilience.execute`).  Sweeps
+optionally run it **supervised** (``supervision=Supervisor(...)``):
 per-chunk watchdog timeouts, seeded retry with backoff, a structured
 failure taxonomy, and quarantine with in-process degradation — while
 keeping results bitwise-equal to a fault-free run.  A deterministic
@@ -25,6 +27,7 @@ from repro.fleet.campaign import (
     SequentialAttackFactory,
     TempAwareAttackFactory,
     attack_recovered,
+    device_payload,
     run_campaign,
     sequential_attack_factory,
 )
@@ -41,7 +44,6 @@ from repro.fleet.fleet import (
     KeyGenFactory,
 )
 from repro.fleet.parallel import (
-    SharedResultBuffer,
     chunk_indices,
     resolve_workers,
     run_collected,
@@ -75,9 +77,9 @@ __all__ = [
     "Supervisor",
     "TempAwareAttackFactory",
     "attack_recovered",
+    "device_payload",
     "run_campaign",
     "sequential_attack_factory",
-    "SharedResultBuffer",
     "chunk_indices",
     "resolve_workers",
     "run_collected",

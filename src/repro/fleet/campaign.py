@@ -27,13 +27,15 @@ and lands on the same bits.
 
 The module also holds the picklable per-family attack factories and
 :func:`attack_recovered`, the one "did the attack succeed?" predicate
-shared by fleet campaigns, the sharded service and the warehouse.
+shared by fleet campaigns, the sharded service and the warehouse, and
+:func:`device_payload`, the per-device outcome features the warehouse
+fingerprints and the service's single-host check compares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -255,3 +257,44 @@ def attack_recovered(result: object, key: np.ndarray,
     recovered = getattr(result, "key", None)
     return recovered is not None and bool(
         np.array_equal(recovered, key))
+
+
+def device_payload(result: object, key: np.ndarray,
+                   helper: object) -> Dict[str, object]:
+    """Deterministic per-device outcome features of one attack result.
+
+    Recovery (per :func:`attack_recovered`), query bill, comparer
+    decisions and whatever the result recovered — key, relations,
+    good bits.  Two results are equivalent exactly when their
+    payloads are equal.
+    """
+    from repro.warehouse.store import fingerprint_bits
+
+    comparisons = getattr(result, "comparisons", ())
+    if isinstance(comparisons, (list, tuple)):
+        decisions = [outcome.decision for outcome in comparisons]
+        comparison_count = len(comparisons)
+    else:
+        # group-based results expose a comparison *count*, not the
+        # individual comparer outcomes
+        decisions = []
+        comparison_count = int(comparisons)
+    payload: Dict[str, object] = {
+        "recovered": attack_recovered(result, key, helper),
+        "queries": int(getattr(result, "queries", 0)),
+        "decisions": decisions,
+        "comparison_count": comparison_count,
+    }
+    recovered_key = getattr(result, "key", None)
+    if recovered_key is not None:
+        payload["key"] = fingerprint_bits([recovered_key])
+    for attr in ("relations", "coop_relations"):
+        value = getattr(result, attr, None)
+        if value is not None:
+            payload[attr] = [int(v) for v in
+                             np.asarray(value).ravel()]
+    good_bits = getattr(result, "good_bits", None)
+    if good_bits is not None:
+        payload["good_bits"] = {str(index): int(bit)
+                                for index, bit in good_bits.items()}
+    return payload

@@ -9,12 +9,13 @@ raised), and on which attempts — so every retry, quarantine and
 poison path has a reproducible test, and CI can run whole sweeps
 under injected crashes and still demand bitwise-identical results.
 
-Activation is an **environment hook**: the supervised worker
-entrypoint reads :data:`ENV_VAR` (inline JSON or a path to a JSON
-file) and fires the spec targeting its ``(chunk, attempt)``
-coordinate, if any.  The hook lives in the *supervised* entrypoint
-only — the plain (unsupervised) pool never consults a plan, because
-without a supervisor there is nothing to catch the fault.
+Activation is an **environment hook**: a worker of
+:func:`repro.fleet.resilience.execute` reads :data:`ENV_VAR` (inline
+JSON or a path to a JSON file) and fires the spec targeting its task's
+``(chunk, attempt)`` coordinate, if any.  The hook fires for
+*supervised* tasks only — unsupervised sweeps never consult a plan,
+because without a retry policy there is nothing to catch the
+fault.
 
 Fault modes:
 
@@ -83,7 +84,7 @@ class FaultSpec:
     after_items:
         Fire after this many chunk items completed (``None`` fires
         on chunk entry).  Lets tests prove that a retry fully
-        rewrites a partially-written shared-memory chunk.
+        replaces a chunk that died half-way.
     """
 
     chunk: int

@@ -14,8 +14,8 @@ Two knobs bound resources and scale the sweeps:
 * ``chunk`` bounds peak memory: a sweep over ``trials`` reconstructions
   materialises at most ``chunk × n`` measurement floats at a time,
   whatever the requested trial count.
-* ``workers`` splits the device population across a process pool with
-  shared-memory result buffers (see :mod:`repro.fleet.parallel`).
+* ``workers`` splits the device population across long-lived worker
+  processes (see :mod:`repro.fleet.parallel`).
 
 Sweeps follow a strict seeding discipline — population seed → per-sweep
 device substreams, all derived in the parent before any dispatch — so a
@@ -115,7 +115,7 @@ class FleetEnrollment:
 
 
 # ----------------------------------------------------------------------
-# per-device jobs (module level so the process pool can pickle them)
+# per-device jobs (module level so workers can unpickle them)
 
 
 @dataclass
@@ -374,7 +374,7 @@ class Fleet:
             Trials are executed in blocks of at most *chunk* queries
             to bound memory.
         workers:
-            Process-pool width; ``None``/``0`` uses every CPU.  The
+            Worker processes; ``None``/``0`` uses every CPU.  The
             returned rates are bitwise-identical for every value.
         supervision:
             Optional :class:`repro.fleet.resilience.Supervisor`: the
@@ -415,7 +415,7 @@ class Fleet:
         ``(noise, transient)`` pair per device, advancing the
         population root exactly as the direct sweep would) and returns
         one self-contained, picklable job per device, in fleet order.
-        Executing any partition of the list — locally, in a pool, or
+        Executing any partition of the list — locally, on workers, or
         on distributed shard workers
         (:mod:`repro.service`) — and concatenating the per-device
         outputs in fleet order reproduces :meth:`failure_rates`
@@ -452,8 +452,8 @@ class Fleet:
         *trials* batched reconstructions at that operating point.
         Each temperature row derives its own device substreams, so the
         matrix is bitwise-independent of *workers* and *chunk*; all
-        ``rows × devices`` jobs run through one dispatch (one pool,
-        one payload serialisation) instead of one pool per row.
+        ``rows × devices`` jobs run through one dispatch (one worker
+        set, one payload serialisation) instead of one per row.
         """
         if trials < 1:
             raise ValueError("need at least one trial")
@@ -504,7 +504,7 @@ class Fleet:
         batch:
             Devices per lock-step chunk (and per worker dispatch).
             Defaults to an even split over the resolved worker count,
-            i.e. the widest batch the pool allows.  Lock-step within a
+            i.e. the widest batch the workers allow.  Lock-step within a
             worker composes with processes across chunks.
         trajectory:
             Optional
@@ -612,9 +612,8 @@ class Fleet:
         *trajectory* / *supervision* mean what they mean on
         :meth:`attack_success`.  The default ``workers=1`` without
         supervision runs the whole fleet as one chunk in this process
-        (no payload copies); otherwise chunks dispatch through the
-        pool or the supervised executor, and result objects must be
-        picklable.
+        (no payload copies); otherwise chunks dispatch to worker
+        processes, and result objects must be picklable.
         """
         jobs = self.attack_chunk_jobs(enrollment, attack_factory,
                                       op=op, trajectory=trajectory,

@@ -1,17 +1,19 @@
-"""Process-pool execution layer for fleet sweeps.
+"""Parallel execution layer for fleet sweeps.
 
 Fleet sweeps are embarrassingly parallel across devices: each device's
 Monte-Carlo outcome is a pure function of (a) the device/keygen/helper
 state captured when the sweep starts and (b) a noise substream derived
 from the population seed.  This module exploits that shape:
 
-* :func:`run_scattered` executes one job per device and scatters each
-  job's fixed-width numeric outputs into **shared-memory result
-  buffers** — workers write their chunk of the result vector in place,
-  nothing is serialised on the way back.
-* :func:`run_collected` executes one job per device and collects
-  arbitrary Python results (used for enrollment, whose outputs are
-  keygen/helper objects).
+* :func:`run_collected` executes one job per device and collects its
+  Python result (enrollment returns keygen/helper objects, attack
+  campaigns return per-chunk reports);
+* :func:`run_scattered` is :func:`run_collected` for jobs returning a
+  tuple of scalars, stacked into one typed array per output.
+
+With ``workers > 1`` (or ``supervision=``) the payloads are split into
+contiguous chunks that run on the long-lived workers of
+:func:`repro.fleet.resilience.execute`; results travel back by value.
 
 Both entry points guarantee **worker-count invariance**: results are
 bitwise-identical whatever ``workers`` is, including 1.  Two mechanisms
@@ -27,28 +29,27 @@ user-supplied attack factories must be module-level callables, not
 lambdas).  ``workers=1`` relaxes this to deep-copyability, which keeps
 lambda factories working for in-process sweeps.
 
-Both entry points also accept ``supervision=`` — a
-:class:`repro.fleet.resilience.Supervisor` — which reroutes the sweep
-through the fault-tolerant supervised executor (per-chunk watchdog,
-seeded retry/backoff, quarantine, in-process degradation) with the
-same bitwise results contract.  See :mod:`repro.fleet.resilience` and
+``supervision=`` — a :class:`repro.fleet.resilience.Supervisor` —
+runs the same engine under its retry policy (watchdog, seeded
+retry/backoff, quarantine, in-process degradation) with the same
+bitwise results contract; without it the engine fails fast on the
+first failed job.  See :mod:`repro.fleet.resilience` and
 ``docs/resilience.md``.
 """
 
 from __future__ import annotations
 
 import copy
-import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: A job maps one device's payload to a tuple of numeric outputs.
+from repro.fleet.resilience import Task, execute, payload_digest
+
+#: A job maps one device's payload to its result (for
+#: :func:`run_scattered`: a tuple of scalars).
 JobFn = Callable[[object], Tuple]
 
 
@@ -76,13 +77,12 @@ def resolve_workers(workers: Optional[int],
 
 def _ensure_picklable(run_job: JobFn,
                       payloads: Sequence[object]) -> None:
-    """Fail fast, and helpfully, before a pool sees a bad payload.
+    """Fail fast, and helpfully, before a worker sees a bad payload.
 
     A non-picklable job or payload (typically a lambda attack factory)
-    would otherwise surface as a raw pickling traceback from deep
-    inside the pool machinery — worse under spawn/forkserver, where
-    the error appears asynchronously.  This pre-check names the
-    offending payload and the fix instead.
+    would otherwise surface as a raw pickling traceback from the
+    dispatch loop.  This pre-check names the offending payload and the
+    fix instead.
     """
     try:
         pickle.dumps(run_job)
@@ -109,9 +109,8 @@ def _ensure_picklable(run_job: JobFn,
 def chunk_indices(count: int, chunks: int) -> List[np.ndarray]:
     """Split ``range(count)`` into at most *chunks* contiguous blocks.
 
-    Chunks are the unit of work handed to a pool worker and the unit of
-    shared-memory writeback; contiguity keeps each worker's writes in
-    one cache-friendly slice.  Empty blocks are dropped.
+    Chunks are the unit of work handed to a worker, of retry and of
+    fault injection.  Empty blocks are dropped.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -121,105 +120,24 @@ def chunk_indices(count: int, chunks: int) -> List[np.ndarray]:
             if block.size]
 
 
-def _pool_context():
-    """The platform-default multiprocessing start method.
+def run_chunk(run_job: JobFn, payloads: Sequence[object],
+              tripwire=None) -> list:
+    """Worker body: run one chunk of jobs, results in order.
 
-    Deliberately not forced to ``fork``: CPython picks per platform
-    and version (fork on Linux ≤ 3.13, forkserver on Linux 3.14+,
-    spawn on macOS/Windows) precisely because forking a multi-threaded
-    parent can deadlock children.  Sweep payloads are picklable, so
-    every start method works; under spawn/forkserver, scripts calling
-    parallel sweeps at module level need the standard
-    ``if __name__ == "__main__":`` guard.
+    *tripwire* (a fault-injection item tripwire) is stepped after
+    each completed job.
     """
-    return multiprocessing.get_context()
-
-
-@dataclass(frozen=True)
-class _BufferSlot:
-    """Attach handle for one shared-memory result vector."""
-
-    name: str
-    length: int
-    dtype: str
-
-
-class SharedResultBuffer:
-    """A 1-D result vector in shared memory, filled chunk-by-chunk.
-
-    The parent allocates the buffer and passes :attr:`slot` to workers;
-    each worker attaches, writes the entries of its device chunk, and
-    detaches.  :meth:`read` copies the vector out so the segment can be
-    unlinked as soon as the sweep completes.
-    """
-
-    def __init__(self, length: int, dtype) -> None:
-        self._dtype = np.dtype(dtype)
-        self._length = int(length)
-        size = max(1, self._length * self._dtype.itemsize)
-        self._shm = shared_memory.SharedMemory(create=True, size=size)
-        self.view()[:] = 0
-
-    @property
-    def slot(self) -> _BufferSlot:
-        """Pickle-friendly handle workers use to attach."""
-        return _BufferSlot(self._shm.name, self._length,
-                           self._dtype.str)
-
-    def view(self) -> np.ndarray:
-        """The parent's live view of the shared vector."""
-        return np.ndarray((self._length,), dtype=self._dtype,
-                          buffer=self._shm.buf)
-
-    def read(self) -> np.ndarray:
-        """A private copy of the current buffer contents."""
-        return self.view().copy()
-
-    def dispose(self) -> None:
-        """Release and unlink the shared segment."""
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-def _write_chunk(run_job: JobFn, slots: Sequence[_BufferSlot],
-                 indices: Sequence[int],
-                 payloads: Sequence[object]) -> None:
-    """Worker body: run a chunk of jobs, scatter outputs into shm."""
-    segments = [shared_memory.SharedMemory(name=slot.name)
-                for slot in slots]
-    try:
-        views = [np.ndarray((slot.length,), dtype=slot.dtype,
-                            buffer=segment.buf)
-                 for slot, segment in zip(slots, segments)]
-        try:
-            for index, payload in zip(indices, payloads):
-                for view, value in zip(views, run_job(payload)):
-                    view[index] = value
-        finally:
-            # Drop the buffer exports before closing; a propagating
-            # job exception must not be masked by close() complaints.
-            views.clear()
-            del views
-    finally:
-        for segment in segments:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - interpreter-
-                pass             # version dependent export tracking
-
-
-def _collect_chunk(run_job: JobFn,
-                   payloads: Sequence[object]) -> List[object]:
-    """Worker body: run a chunk of jobs, return results by value."""
-    return [run_job(payload) for payload in payloads]
+    results = []
+    for payload in payloads:
+        results.append(run_job(payload))
+        if tripwire is not None:
+            tripwire.step()
+    return results
 
 
 def _run_inprocess(run_job: JobFn, payloads: Sequence[object],
                    shared: Sequence[object] = ()) -> list:
-    """Single-worker path: same mutation semantics as the pool path.
+    """Single-worker path: same mutation semantics as the worker path.
 
     Jobs run against deep copies so parent-side keygen streams stay
     untouched, exactly as they do when the payload is pickled to
@@ -236,94 +154,67 @@ def _run_inprocess(run_job: JobFn, payloads: Sequence[object],
     return results
 
 
-def run_scattered(run_job: JobFn, payloads: Sequence[object],
-                  dtypes: Sequence, workers: Optional[int] = 1,
-                  shared: Sequence[object] = (),
-                  supervision=None) -> Tuple[np.ndarray, ...]:
-    """Run one job per payload; scatter numeric outputs per device.
-
-    *run_job* must return one scalar per entry of *dtypes* for every
-    payload.  Returns one 1-D array per dtype, each of length
-    ``len(payloads)``, with entry ``i`` produced by ``payloads[i]`` —
-    bitwise-independent of *workers* and of how devices were chunked.
-    *shared* lists read-only payload constituents exempt from the
-    in-process defensive copy (see :func:`_run_inprocess`).
-    *supervision* (a :class:`repro.fleet.resilience.Supervisor`)
-    reroutes the sweep through the fault-tolerant executor; it always
-    isolates chunks in watched child processes, so payloads must then
-    be picklable even with ``workers=1``.
-    """
-    if supervision is not None:
-        from repro.fleet.resilience import run_supervised_scattered
-        return run_supervised_scattered(run_job, payloads, dtypes,
-                                        workers, shared, supervision)
-    count = len(payloads)
-    resolved = resolve_workers(workers, count)
-    if resolved == 1 or count <= 1:
-        outputs = [np.zeros(count, dtype=dt) for dt in dtypes]
-        for index, values in enumerate(
-                _run_inprocess(run_job, payloads, shared)):
-            for output, value in zip(outputs, values):
-                output[index] = value
-        return tuple(outputs)
-
-    _ensure_picklable(run_job, payloads)
-    # Buffers are allocated inside the try so that a failure while
-    # allocating buffer k still disposes buffers 0..k-1 — a
-    # list-comprehension outside it would orphan those segments.
-    buffers: List[SharedResultBuffer] = []
-    try:
-        for dt in dtypes:
-            buffers.append(SharedResultBuffer(count, dt))
-        slots = [buffer.slot for buffer in buffers]
-        chunks = chunk_indices(count, min(count, 4 * resolved))
-        with ProcessPoolExecutor(
-                max_workers=min(resolved, len(chunks)),
-                mp_context=_pool_context()) as pool:
-            futures = [
-                pool.submit(_write_chunk, run_job, slots,
-                            block.tolist(),
-                            [payloads[i] for i in block])
-                for block in chunks]
-            for future in futures:
-                future.result()
-        return tuple(buffer.read() for buffer in buffers)
-    finally:
-        for buffer in buffers:
-            buffer.dispose()
-
-
 def run_collected(run_job: JobFn, payloads: Sequence[object],
                   workers: Optional[int] = 1,
                   shared: Sequence[object] = (),
                   supervision=None) -> list:
     """Run one job per payload; collect Python results in order.
 
-    Like :func:`run_scattered` but for jobs whose outputs are objects
-    (enrollment produces keygens and helper data); results travel back
-    through the future machinery instead of shared memory.  *shared*
-    lists read-only payload constituents exempt from the in-process
-    defensive copy.  *supervision* reroutes through the fault-tolerant
-    executor exactly as in :func:`run_scattered`.
+    Entry ``i`` is ``run_job(payloads[i])``, bitwise-independent of
+    *workers* and of how devices were chunked.  *shared* lists
+    read-only payload constituents exempt from the in-process
+    defensive copy (see :func:`_run_inprocess`).  *supervision* (a
+    :class:`repro.fleet.resilience.Supervisor`) runs the sweep under
+    its retry policy and appends the sweep's report to it; poisoned
+    chunks leave ``None`` in their entries when the policy allows
+    partial results.  Supervision always runs chunks in worker
+    processes, so payloads must then be picklable even with
+    ``workers=1``.
     """
-    if supervision is not None:
-        from repro.fleet.resilience import run_supervised_collected
-        return run_supervised_collected(run_job, payloads, workers,
-                                        shared, supervision)
     count = len(payloads)
     resolved = resolve_workers(workers, count)
-    if resolved == 1 or count <= 1:
+    if supervision is None and (resolved == 1 or count <= 1):
         return _run_inprocess(run_job, payloads, shared)
+    if count == 0:
+        supervision.new_report(0)
+        return []
     _ensure_picklable(run_job, payloads)
-    chunks = chunk_indices(count, min(count, 4 * resolved))
+    blocks = chunk_indices(count, min(count, 4 * resolved))
+    tasks = []
+    for index, block in enumerate(blocks):
+        chunk = [payloads[i] for i in block]
+        tasks.append(Task(
+            index, run_chunk, (run_job, chunk),
+            digest="" if supervision is None
+            else payload_digest(chunk)))
+    report = (None if supervision is None
+              else supervision.new_report(len(blocks)))
     results: list = [None] * count
-    with ProcessPoolExecutor(max_workers=min(resolved, len(chunks)),
-                             mp_context=_pool_context()) as pool:
-        futures = [(block,
-                    pool.submit(_collect_chunk, run_job,
-                                [payloads[i] for i in block]))
-                   for block in chunks]
-        for block, future in futures:
-            for index, result in zip(block, future.result()):
-                results[index] = result
+    for outcome in execute(tasks, resolved, report, shared=shared):
+        if not outcome.poisoned:
+            for index, value in zip(blocks[outcome.index],
+                                    outcome.value):
+                results[index] = value
     return results
+
+
+def run_scattered(run_job: JobFn, payloads: Sequence[object],
+                  dtypes: Sequence, workers: Optional[int] = 1,
+                  shared: Sequence[object] = (),
+                  supervision=None) -> Tuple[np.ndarray, ...]:
+    """Run one job per payload; stack numeric outputs per device.
+
+    *run_job* must return one scalar per entry of *dtypes* for every
+    payload.  Returns one 1-D array per dtype, each of length
+    ``len(payloads)``, with entry ``i`` produced by ``payloads[i]``;
+    otherwise exactly :func:`run_collected`.  Poisoned entries of a
+    partial supervised sweep are zero.
+    """
+    outputs = [np.zeros(len(payloads), dtype=dt) for dt in dtypes]
+    results = run_collected(run_job, payloads, workers, shared,
+                            supervision)
+    for index, values in enumerate(results):
+        if values is not None:
+            for output, value in zip(outputs, values):
+                output[index] = value
+    return tuple(outputs)

@@ -1,63 +1,125 @@
-"""Supervised, fault-tolerant execution of fleet sweep chunks.
+"""The one executor behind every parallel sweep, supervised or not.
 
-The plain pool in :mod:`repro.fleet.parallel` assumes every worker
-finishes: one crashed, hung or OOM-killed process aborts the whole
-sweep.  This module adds a **supervised** execution mode in which each
-dispatch chunk runs in its own watched child process under a
-:class:`RetryPolicy`:
+Fleet sweeps (:func:`repro.fleet.parallel.run_collected` /
+:func:`~repro.fleet.parallel.run_scattered` with ``workers > 1`` or
+``supervision=``) and the service's sharded sweeps
+(:class:`repro.service.dispatcher.Dispatcher`) all run on one engine,
+:func:`execute`: a small set of **long-lived worker processes**, each
+connected back to the driving process over a length-prefixed socket
+protocol, fed one :class:`Task` at a time by a single loop.  That loop
+owns the task queue, the :class:`RetryPolicy` transitions, the
+in-process degrade pass and the :class:`ResilienceReport`, and yields
+:class:`Outcome` values in completion order.
 
-* a **watchdog** kills chunks that exceed ``chunk_timeout``;
-* failed chunks are **retried** with exponential backoff whose jitter
-  is seeded (schedules are reproducible run over run);
+Wire protocol (both directions)::
+
+    offset  size  field
+    0       4     frame length n (u32, little-endian)
+    4       n     pickled (type, payload) tuple
+
+* ``("hello", {"worker", "pid", "protocol"})`` — worker → parent,
+  once, right after connecting.  A worker that dies before its hello
+  (or misses :data:`HANDSHAKE_TIMEOUT`) is a
+  :class:`WorkerHandshakeError` naming it — never a hang; a protocol
+  version mismatch is one too.
+* ``("task", {"index", "attempt", "fn", "args", "inject"})`` — parent
+  → worker: call ``fn(*args, tripwire=...)`` once.
+* ``("result", {"index", "attempt", "value", "pid"})`` — worker →
+  parent on success.
+* ``("error", {"index", "attempt", "detail", "error"})`` — worker →
+  parent when the call raised; the worker stays alive for more tasks.
+* ``("shutdown", None)`` — parent → worker: leave the serve loop.
+
+Two transports bind the protocol: ``"pipe"`` (an ``AF_UNIX`` stream
+socket in a private temporary directory) and ``"tcp"`` (loopback TCP,
+port chosen by the OS).
+
+Under a :class:`RetryPolicy` (a supervised sweep):
+
+* a **watchdog** kills workers whose task exceeds ``chunk_timeout``;
 * every failure is recorded in a structured taxonomy
   (:class:`ChunkFailure`: ``crash`` / ``timeout`` / ``exception`` /
   ``poison``, with the worker pid, attempt number and payload digest);
-* chunks that exhaust their retries are **quarantined** and re-executed
-  in-process (graceful degradation) before the sweep gives up;
-* chunks that fail even in-process are **poisoned**: the sweep raises
-  a :class:`PoisonedSweepError` carrying the full report — a
+* failed tasks are **retried** after an exponential backoff whose
+  jitter is seeded, so schedules are reproducible run over run;
+  crashed and timed-out workers are replaced;
+* tasks that exhaust their retries are **quarantined** and re-run
+  once in the driving process (graceful degradation);
+* tasks that fail even there are **poisoned**: the sweep raises
+  :class:`PoisonedSweepError` carrying the full report — a
   partial-result verdict, not an opaque traceback — or, with
-  ``allow_partial=True``, returns fill values for the poisoned
-  devices.
+  ``allow_partial=True``, yields them as poisoned outcomes.
 
-Because all per-device randomness is derived in the parent before any
-dispatch (the :mod:`repro.fleet.parallel` seeding discipline), a retry
-re-executes a bitwise-identical computation — so a sweep that
-survived injected crashes, hangs and exceptions
-(:mod:`repro.fleet.faultinject`) returns results **bitwise-equal to
-the fault-free run**.  ``docs/resilience.md`` spells out the
-contract; the equivalence is pinned by
-``tests/fleet/test_resilience.py`` and the CI ``chaos-smoke`` job.
+The fault-injection hook (:mod:`repro.fleet.faultinject`) fires only
+in supervised tasks.  Without a policy the same engine is fail-fast:
+no hook, no retry, and the first failure re-raises the job's own
+exception (or a :class:`RuntimeError` naming a dead worker).
 
-Supervision implies process isolation (a fault cannot be survived
-in-process), so supervised payloads must be picklable for *every*
-worker count, including 1.
+Because all per-device randomness is derived in the driving process
+before any dispatch, a retry re-executes a bitwise-identical
+computation: a sweep that survived injected crashes, hangs and
+exceptions returns results **bitwise-equal to the fault-free run**,
+for every worker count, shard count and transport.
+``docs/resilience.md`` spells out the contract; it is pinned by
+``tests/fleet/test_resilience.py``, ``tests/service/`` and the CI
+``chaos-smoke`` job.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import multiprocessing
+import os
 import pickle
+import socket
+import struct
+import tempfile
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
 )
 
-import numpy as np
-
 from repro.fleet import faultinject
 
-#: Granularity of the supervisor's poll loop (seconds).  Bounds how
-#: late a watchdog kill or a backed-off relaunch can be; failure
+#: Protocol version carried in every hello frame; a mismatch is a
+#: deployment error and fails the handshake loudly.
+PROTOCOL_VERSION = 1
+
+#: Supported worker transports.
+TRANSPORTS = ("pipe", "tcp")
+
+#: Seconds each spawned worker gets to send its hello frame.
+HANDSHAKE_TIMEOUT = 30.0
+
+#: Granularity of the driving loop's poll (seconds).  Bounds how late
+#: a watchdog kill or a backed-off relaunch can be; failure
 #: *semantics* never depend on it.
 _POLL_SECONDS = 0.05
+
+#: Frames beyond this are a protocol violation, not a huge payload.
+_MAX_FRAME = 1 << 31
+
+
+class ServiceProtocolError(RuntimeError):
+    """A peer sent bytes violating the framed message protocol."""
+
+
+class WorkerHandshakeError(RuntimeError):
+    """A worker failed to complete the handshake.
+
+    Raised instead of blocking on ``accept()`` forever when a worker
+    process dies (or stalls) before sending its hello frame, or speaks
+    another protocol version.
+    """
 
 
 class PoisonedSweepError(RuntimeError):
@@ -315,104 +377,6 @@ class Supervisor:
         return target
 
 
-# ----------------------------------------------------------------------
-# supervised child entrypoints (module level so every start method can
-# pickle them)
-
-
-def _send_outcome(conn, message: Tuple[str, object]) -> None:
-    """Best-effort result/error send; the parent survives a lost
-    pipe either way (it reads EOF as a crash)."""
-    try:
-        conn.send(message)
-    except Exception:  # pragma: no cover - torn pipe during shutdown
-        pass
-
-
-def _scattered_entry(conn, run_job, payloads, indices, slots,
-                     chunk: int, attempt: int) -> None:
-    """Child body: run one chunk, scatter outputs into shared memory.
-
-    This is the supervised worker entrypoint — the fault-injection
-    environment hook (:func:`repro.fleet.faultinject.active_spec`)
-    fires here, keyed on ``(chunk, attempt)``.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        tripwire = faultinject.entry_fire(
-            faultinject.active_spec(chunk, attempt))
-        segments = [shared_memory.SharedMemory(name=slot.name)
-                    for slot in slots]
-        try:
-            views = [np.ndarray((slot.length,), dtype=slot.dtype,
-                                buffer=segment.buf)
-                     for slot, segment in zip(slots, segments)]
-            try:
-                for index, payload in zip(indices, payloads):
-                    for view, value in zip(views, run_job(payload)):
-                        view[index] = value
-                    tripwire.step()
-            finally:
-                views.clear()
-                del views
-        finally:
-            for segment in segments:
-                try:
-                    segment.close()
-                except BufferError:  # pragma: no cover
-                    pass
-        _send_outcome(conn, ("ok", None))
-    except BaseException as error:
-        _send_outcome(conn,
-                      ("error", f"{type(error).__name__}: {error}"))
-    finally:
-        conn.close()
-
-
-def _collected_entry(conn, run_job, payloads, chunk: int,
-                     attempt: int) -> None:
-    """Child body: run one chunk, send results back by value."""
-    try:
-        tripwire = faultinject.entry_fire(
-            faultinject.active_spec(chunk, attempt))
-        results = []
-        for payload in payloads:
-            results.append(run_job(payload))
-            tripwire.step()
-        _send_outcome(conn, ("ok", results))
-    except BaseException as error:
-        _send_outcome(conn,
-                      ("error", f"{type(error).__name__}: {error}"))
-    finally:
-        conn.close()
-
-
-# ----------------------------------------------------------------------
-# the supervisor loop
-
-
-@dataclass
-class _ChunkTask:
-    """Parent-side state of one chunk across its attempts."""
-
-    index: int
-    indices: List[int]
-    digest: str
-    attempt: int = 0
-    ready_at: float = 0.0
-
-
-@dataclass
-class _Active:
-    """One launched chunk attempt under watch."""
-
-    proc: object
-    conn: object
-    deadline: Optional[float]
-    task: _ChunkTask
-
-
 def payload_digest(payloads: Sequence[object]) -> str:
     """Short stable digest identifying a chunk's payload content."""
     digest = hashlib.sha256()
@@ -421,265 +385,446 @@ def payload_digest(payloads: Sequence[object]) -> str:
     return digest.hexdigest()[:16]
 
 
-def _reap(entry: _Active) -> None:
-    """Join a finished/killed child and release its pipe end."""
-    entry.proc.join()
-    try:
-        entry.conn.close()
-    except OSError:  # pragma: no cover - already closed
-        pass
+# ----------------------------------------------------------------------
+# framing
 
 
-def _supervise(tasks: List[_ChunkTask], policy: RetryPolicy,
-               width: int, report: ResilienceReport,
-               start: Callable[[_ChunkTask], Tuple[object, object]],
-               on_success: Callable[[_ChunkTask, object], None],
-               run_quarantined: Callable[[_ChunkTask], None]) -> None:
-    """Drive every chunk to success, quarantine, or poison.
+def send_frame(sock: socket.socket, message: Tuple[str, object]
+               ) -> None:
+    """Send one length-prefixed pickled message."""
+    payload = pickle.dumps(message)
+    sock.sendall(struct.pack("<I", len(payload)) + payload)
 
-    *start* launches one watched child for a task and returns
-    ``(process, parent_conn)``; *on_success* consumes a child's
-    ``ok`` payload; *run_quarantined* re-executes a quarantined
-    chunk in the parent process (the graceful-degradation pass).
+
+def _frame_length(header: bytes) -> int:
+    (length,) = struct.unpack("<I", header)
+    if length > _MAX_FRAME:
+        raise ServiceProtocolError(
+            f"frame length {length} exceeds the protocol bound")
+    return length
+
+
+def _decode(payload: bytes) -> Tuple[str, object]:
+    message = pickle.loads(payload)
+    if not (isinstance(message, tuple) and len(message) == 2
+            and isinstance(message[0], str)):
+        raise ServiceProtocolError(
+            "message is not a (type, payload) tuple")
+    return message
+
+
+def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    chunks = []
+    remaining = count
+    while remaining > 0:
+        chunk = sock.recv(remaining)
+        if not chunk:
+            raise EOFError("peer closed the connection")
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
+
+
+def recv_frame(sock: socket.socket) -> Tuple[str, object]:
+    """Receive one length-prefixed pickled message (blocking).
+
+    Raises :class:`EOFError` on a closed peer and
+    :class:`ServiceProtocolError` on malformed framing.
     """
-    pending: List[_ChunkTask] = list(tasks)
-    active: Dict[int, _Active] = {}
-    quarantined: List[_ChunkTask] = []
+    length = _frame_length(_recv_exact(sock, 4))
+    return _decode(_recv_exact(sock, length))
 
-    while pending or active:
-        now = time.monotonic()
-        launchable = [task for task in pending
-                      if task.ready_at <= now]
-        while launchable and len(active) < width:
-            task = launchable.pop(0)
-            pending.remove(task)
-            proc, conn = start(task)
-            deadline = (now + policy.chunk_timeout
-                        if policy.chunk_timeout is not None else None)
-            active[task.index] = _Active(proc, conn, deadline, task)
-        if not active:
-            # Every remaining chunk is backing off; sleep to the
-            # earliest relaunch.
-            wake = min(task.ready_at for task in pending)
-            time.sleep(max(0.0, wake - time.monotonic()))
-            continue
 
-        timeout = _POLL_SECONDS
-        deadlines = [entry.deadline for entry in active.values()
-                     if entry.deadline is not None]
-        if deadlines:
-            timeout = min(timeout,
-                          max(0.0, min(deadlines) - time.monotonic()))
-        ready = connection.wait(
-            [entry.conn for entry in active.values()], timeout)
+# ----------------------------------------------------------------------
+# worker process
 
-        now = time.monotonic()
-        for index, entry in list(active.items()):
-            failure: Optional[Tuple[str, str]] = None
-            if entry.conn in ready:
-                try:
-                    message = entry.conn.recv()
-                except (EOFError, OSError):
-                    message = None
-                _reap(entry)
-                if (isinstance(message, tuple) and len(message) == 2
-                        and message[0] == "ok"):
-                    on_success(entry.task, message[1])
-                    del active[index]
-                    continue
-                if message is None:
-                    code = entry.proc.exitcode
-                    failure = ("crash",
-                               f"worker died without a message "
-                               f"(exit code {code})")
-                else:
-                    failure = ("exception", str(message[1]))
-            elif entry.deadline is not None and now >= entry.deadline:
-                entry.proc.kill()
-                _reap(entry)
-                failure = ("timeout",
-                           f"chunk exceeded the "
-                           f"{policy.chunk_timeout:g}s watchdog")
-            if failure is None:
+
+def _connect(address: Tuple) -> socket.socket:
+    """Worker-side connect to the parent's address tuple."""
+    if address[0] == "unix":
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.connect(address[1])
+    else:
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.connect((address[1], address[2]))
+    return sock
+
+
+def _portable(error: BaseException) -> Optional[BaseException]:
+    """*error* if it survives a pickle round trip, else ``None``."""
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        return None
+    return error
+
+
+def worker_main(address: Tuple, worker_id: int) -> None:
+    """Entry point of one long-lived worker process.
+
+    Connects back to the parent, introduces itself, then serves tasks
+    until told to shut down.  For supervised tasks the fault-injection
+    hook (:func:`repro.fleet.faultinject.active_spec`) fires at task
+    receipt, keyed on ``(task index, attempt)``, and the task's
+    tripwire steps after each completed item.
+    """
+    sock = _connect(address)
+    try:
+        send_frame(sock, ("hello", {"worker": int(worker_id),
+                                    "pid": os.getpid(),
+                                    "protocol": PROTOCOL_VERSION}))
+        while True:
+            try:
+                kind, payload = recv_frame(sock)
+            except EOFError:
+                return
+            if kind == "shutdown":
+                return
+            if kind != "task":
+                raise ServiceProtocolError(
+                    f"worker expected a task frame, got {kind!r}")
+            index, attempt = payload["index"], payload["attempt"]
+            try:
+                tripwire = faultinject.entry_fire(
+                    faultinject.active_spec(index, attempt)
+                    if payload["inject"] else None)
+                value = payload["fn"](*payload["args"],
+                                      tripwire=tripwire)
+                send_frame(sock, ("result", {
+                    "index": index, "attempt": attempt,
+                    "value": value, "pid": os.getpid()}))
+            except Exception as error:
+                send_frame(sock, ("error", {
+                    "index": index, "attempt": attempt,
+                    "detail": f"{type(error).__name__}: {error}",
+                    "error": _portable(error)}))
+    finally:
+        sock.close()
+
+
+# ----------------------------------------------------------------------
+# the engine
+
+
+@dataclass
+class Task:
+    """One unit of dispatched work across its attempts.
+
+    A worker calls ``fn(*args, tripwire=...)``; *fn* and *args* must
+    pickle (*fn* by reference: a module-level function).  *index* is
+    the chunk (or shard) coordinate that fault plans and reports key
+    on; *digest* seeds the task's backoff jitter.
+    """
+
+    index: int
+    fn: Callable
+    args: Tuple
+    digest: str = ""
+    attempt: int = 0
+    ready_at: float = 0.0
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """One finished task: its return value and where it came from.
+
+    ``value`` is ``None`` for a poisoned task (``allow_partial``);
+    ``pid`` is the worker's, or the driving process's for the
+    degrade pass.
+    """
+
+    index: int
+    value: object
+    attempt: int
+    pid: Optional[int]
+    degraded: bool = False
+    poisoned: bool = False
+
+
+@dataclass(eq=False)
+class _Worker:
+    """One connected long-lived worker."""
+
+    proc: object
+    sock: socket.socket
+    pid: int
+    task: Optional[Task] = None
+    deadline: Optional[float] = None
+    buffer: bytearray = field(default_factory=bytearray, repr=False)
+
+    def send(self, message: Tuple[str, object]) -> None:
+        """Blocking send of one frame on the non-blocking socket."""
+        self.sock.setblocking(True)
+        try:
+            send_frame(self.sock, message)
+        finally:
+            self.sock.setblocking(False)
+
+    def read(self) -> Optional[Tuple[str, object]]:
+        """The next complete frame, or ``None`` while it is partial."""
+        while True:
+            if len(self.buffer) >= 4:
+                end = 4 + _frame_length(bytes(self.buffer[:4]))
+                if len(self.buffer) >= end:
+                    payload = bytes(self.buffer[4:end])
+                    del self.buffer[:end]
+                    return _decode(payload)
+            try:
+                chunk = self.sock.recv(1 << 20)
+            except (BlockingIOError, InterruptedError):
+                return None
+            if not chunk:
+                raise EOFError("worker closed the connection")
+            self.buffer += chunk
+
+
+class _WorkerSet:
+    """Spawns, handshakes, replaces and stops long-lived workers."""
+
+    def __init__(self, transport: str, tmpdir: str) -> None:
+        self._ctx = multiprocessing.get_context()
+        if transport == "pipe":
+            self._listener = socket.socket(socket.AF_UNIX,
+                                           socket.SOCK_STREAM)
+            path = os.path.join(tmpdir, "workers.sock")
+            self._listener.bind(path)
+            self._address: Tuple = ("unix", path)
+        elif transport == "tcp":
+            self._listener = socket.socket(socket.AF_INET,
+                                           socket.SOCK_STREAM)
+            self._listener.bind(("127.0.0.1", 0))
+            self._address = ("tcp",) + self._listener.getsockname()
+        else:
+            raise ValueError(f"unknown transport {transport!r}; "
+                             f"expected one of {TRANSPORTS}")
+        self._listener.listen()
+        self._listener.settimeout(_POLL_SECONDS)
+        self._next_id = 0
+        #: Started workers whose hello has not arrived yet.
+        self._starting: Dict[int, object] = {}
+        self.workers: List[_Worker] = []
+
+    def spawn(self, count: int) -> None:
+        """Start *count* workers and complete every handshake."""
+        for _ in range(count):
+            proc = self._ctx.Process(target=worker_main,
+                                     args=(self._address,
+                                           self._next_id),
+                                     daemon=True)
+            proc.start()
+            self._starting[self._next_id] = proc
+            self._next_id += 1
+        deadline = time.monotonic() + HANDSHAKE_TIMEOUT
+        while self._starting:
+            for worker_id, proc in self._starting.items():
+                if not proc.is_alive():
+                    raise WorkerHandshakeError(
+                        f"worker {worker_id} (pid {proc.pid}) exited "
+                        f"with code {proc.exitcode} before completing "
+                        f"the handshake")
+            if time.monotonic() >= deadline:
+                raise WorkerHandshakeError(
+                    f"worker(s) {sorted(self._starting)} did not "
+                    f"complete the handshake within "
+                    f"{HANDSHAKE_TIMEOUT:g}s")
+            try:
+                sock, _ = self._listener.accept()
+            except socket.timeout:
                 continue
-            del active[index]
-            kind, detail = failure
-            task = entry.task
-            report.failures.append(ChunkFailure(
-                kind=kind, chunk=task.index, attempt=task.attempt,
-                pid=entry.proc.pid, payload_digest=task.digest,
-                detail=detail))
-            if task.attempt < policy.max_retries:
-                delay = policy.backoff_delay(task.digest,
-                                             task.attempt)
-                task.attempt += 1
-                task.ready_at = time.monotonic() + delay
-                report.retried += 1
-                pending.append(task)
-            else:
-                quarantined.append(task)
+            sock.settimeout(HANDSHAKE_TIMEOUT)
+            try:
+                kind, hello = recv_frame(sock)
+            except (EOFError, OSError):
+                sock.close()
+                continue  # a dying worker's half-open connection
+            if kind != "hello" or hello.get("protocol") \
+                    != PROTOCOL_VERSION:
+                sock.close()
+                raise WorkerHandshakeError(
+                    f"expected a protocol-{PROTOCOL_VERSION} hello "
+                    f"frame, got {kind!r} {hello!r}")
+            sock.setblocking(False)
+            self.workers.append(_Worker(
+                self._starting.pop(int(hello["worker"])), sock,
+                int(hello["pid"])))
 
-    # Graceful degradation: one in-process retry per quarantined
-    # chunk before the sweep admits defeat.  Only ``raise``-mode
-    # injected faults fire here (crash/hang would take the
-    # supervisor down), so genuinely poisonous chunks stay poisoned.
+    def retire(self, worker: _Worker) -> None:
+        """Kill and forget one worker (failed, hung or dead)."""
+        if worker in self.workers:
+            self.workers.remove(worker)
+            worker.sock.close()
+            if worker.proc.is_alive():
+                worker.proc.kill()
+            worker.proc.join()
+
+    def close(self) -> None:
+        """Stop idle workers politely and every other one by force."""
+        self._listener.close()
+        for worker in self.workers:
+            if worker.task is None:
+                try:
+                    worker.send(("shutdown", None))
+                except OSError:
+                    pass
+            else:
+                worker.proc.kill()
+            worker.sock.close()
+        for proc in self._starting.values():
+            proc.kill()
+        for proc in ([worker.proc for worker in self.workers]
+                     + list(self._starting.values())):
+            proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover - stuck worker
+                proc.kill()
+                proc.join()
+
+
+def execute(tasks: Sequence[Task], workers: int,
+            report: Optional[ResilienceReport] = None,
+            transport: str = "pipe",
+            shared: Sequence[object] = ()) -> Iterator[Outcome]:
+    """Run *tasks* on up to *workers* long-lived worker processes.
+
+    Yields one :class:`Outcome` per task in completion order.  With a
+    *report* the run is supervised by the report's policy, as the
+    module docstring describes, and every failure lands in the
+    report; the degrade pass calls ``fn`` on deep copies of each
+    quarantined task's args, keeping the objects in *shared* by
+    reference.  Without one the run is fail-fast.
+    """
+    policy = report.policy if report is not None else None
+    pending: List[Task] = list(tasks)
+    quarantined: List[Task] = []
+    with tempfile.TemporaryDirectory(prefix="repro-") as tmpdir:
+        pool = _WorkerSet(transport, tmpdir)
+        try:
+            pool.spawn(min(int(workers), len(pending)))
+            while pending or any(w.task for w in pool.workers):
+                yield from _turn(pool, pending, quarantined, policy,
+                                 report)
+        finally:
+            pool.close()
+
     for task in sorted(quarantined, key=lambda item: item.index):
         attempt = policy.max_retries + 1
         try:
             faultinject.fire(
                 faultinject.active_spec(task.index, attempt),
                 inprocess=True)
-            run_quarantined(task)
-            report.degraded.append(task.index)
+            memo = {id(obj): obj for obj in shared}
+            value = task.fn(*copy.deepcopy(task.args, memo))
         except Exception as error:
             report.failures.append(ChunkFailure(
                 kind="poison", chunk=task.index, attempt=attempt,
                 pid=None, payload_digest=task.digest,
                 detail=f"{type(error).__name__}: {error}"))
             report.poisoned.append(task.index)
-
-    if report.poisoned and not policy.allow_partial:
+            if policy.allow_partial:
+                yield Outcome(task.index, None, attempt, None,
+                              poisoned=True)
+            continue
+        report.degraded.append(task.index)
+        yield Outcome(task.index, value, attempt, os.getpid(),
+                      degraded=True)
+    if quarantined and report.poisoned and not policy.allow_partial:
         raise PoisonedSweepError(report)
 
 
-def _build_tasks(payloads: Sequence[object],
-                 blocks: Sequence[np.ndarray]) -> List[_ChunkTask]:
-    """One parent-side task per dispatch chunk."""
-    return [
-        _ChunkTask(index=index, indices=[int(i) for i in block],
-                   digest=payload_digest(
-                       [payloads[int(i)] for i in block]))
-        for index, block in enumerate(blocks)]
+def _turn(pool: _WorkerSet, pending: List[Task],
+          quarantined: List[Task], policy: Optional[RetryPolicy],
+          report: Optional[ResilienceReport]) -> Iterator[Outcome]:
+    """One turn of the loop: assign, wait, collect, fail over."""
 
+    def fail(worker: _Worker, kind: str, detail: str,
+             error: Optional[BaseException] = None) -> None:
+        task, worker.task = worker.task, None
+        if kind != "exception":
+            pool.retire(worker)
+        if policy is None:
+            raise (error if error is not None else RuntimeError(
+                f"task {task.index} failed: {detail}"))
+        report.failures.append(ChunkFailure(
+            kind=kind, chunk=task.index, attempt=task.attempt,
+            pid=worker.pid, payload_digest=task.digest,
+            detail=detail))
+        if task.attempt < policy.max_retries:
+            delay = policy.backoff_delay(task.digest, task.attempt)
+            task.attempt += 1
+            task.ready_at = time.monotonic() + delay
+            report.retried += 1
+            pending.append(task)
+        else:
+            quarantined.append(task)
+        if kind != "exception" and pending:
+            pool.spawn(1)
 
-def run_supervised_scattered(run_job, payloads: Sequence[object],
-                             dtypes: Sequence,
-                             workers: Optional[int],
-                             shared: Sequence[object],
-                             supervisor: Supervisor
-                             ) -> Tuple[np.ndarray, ...]:
-    """Supervised twin of :func:`repro.fleet.parallel.run_scattered`.
+    now = time.monotonic()
+    for worker in [w for w in pool.workers if w.task is None]:
+        task = next((t for t in pending if t.ready_at <= now), None)
+        if task is None:
+            break
+        pending.remove(task)
+        worker.task = task
+        worker.deadline = (
+            now + policy.chunk_timeout
+            if policy is not None and policy.chunk_timeout is not None
+            else None)
+        try:
+            worker.send(("task", {
+                "index": task.index, "attempt": task.attempt,
+                "fn": task.fn, "args": task.args,
+                "inject": policy is not None}))
+        except OSError:
+            fail(worker, "crash",
+                 "worker connection lost while sending the task")
 
-    Same contract — one scalar per dtype per payload, entry ``i``
-    from ``payloads[i]``, results bitwise-independent of *workers*
-    and of which attempts faulted — plus the recovery semantics of
-    the module docstring.  Poisoned chunks leave zeros in their
-    entries when the policy allows partial results.
-    """
-    from repro.fleet.parallel import (
-        SharedResultBuffer,
-        _ensure_picklable,
-        _pool_context,
-        _run_inprocess,
-        chunk_indices,
-        resolve_workers,
-    )
+    busy = [w for w in pool.workers if w.task is not None]
+    if not busy:
+        if pending:
+            wake = min(task.ready_at for task in pending)
+            time.sleep(min(_POLL_SECONDS,
+                           max(0.0, wake - time.monotonic())))
+        return
+    timeout = _POLL_SECONDS
+    deadlines = [w.deadline for w in busy if w.deadline is not None]
+    if deadlines:
+        timeout = min(timeout, max(0.0, min(deadlines)
+                                   - time.monotonic()))
+    ready = set(connection.wait([w.sock for w in pool.workers],
+                                timeout))
 
-    count = len(payloads)
-    resolved = resolve_workers(workers, count)
-    if count == 0:
-        supervisor.new_report(0)
-        return tuple(np.zeros(0, dtype=dt) for dt in dtypes)
-    _ensure_picklable(run_job, payloads)
-    blocks = chunk_indices(count, min(count, 4 * resolved))
-    report = supervisor.new_report(len(blocks))
-    tasks = _build_tasks(payloads, blocks)
-    ctx = _pool_context()
-
-    buffers: List[SharedResultBuffer] = []
-    try:
-        for dt in dtypes:
-            buffers.append(SharedResultBuffer(count, dt))
-        slots = [buffer.slot for buffer in buffers]
-
-        def start(task: _ChunkTask):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_scattered_entry,
-                args=(send, run_job,
-                      [payloads[i] for i in task.indices],
-                      task.indices, slots, task.index, task.attempt),
-                daemon=True)
-            proc.start()
-            send.close()
-            return proc, recv
-
-        def on_success(task: _ChunkTask, payload: object) -> None:
-            pass  # the child already scattered into shared memory
-
-        def run_quarantined(task: _ChunkTask) -> None:
-            results = _run_inprocess(
-                run_job, [payloads[i] for i in task.indices], shared)
-            views = [buffer.view() for buffer in buffers]
+    now = time.monotonic()
+    for worker in list(pool.workers):
+        if worker.sock in ready and worker.task is None:
+            # An idle worker only speaks by dying.
+            pool.retire(worker)
+            if pending:
+                pool.spawn(1)
+        elif worker.sock in ready:
             try:
-                for index, values in zip(task.indices, results):
-                    for view, value in zip(views, values):
-                        view[index] = value
-            finally:
-                views.clear()
-                del views
-
-        _supervise(tasks, supervisor.policy,
-                   min(resolved, len(blocks)), report, start,
-                   on_success, run_quarantined)
-        return tuple(buffer.read() for buffer in buffers)
-    finally:
-        for buffer in buffers:
-            buffer.dispose()
-
-
-def run_supervised_collected(run_job, payloads: Sequence[object],
-                             workers: Optional[int],
-                             shared: Sequence[object],
-                             supervisor: Supervisor) -> list:
-    """Supervised twin of :func:`repro.fleet.parallel.run_collected`.
-
-    Results travel back over the watched child's pipe; poisoned
-    chunks leave ``None`` in their entries when the policy allows
-    partial results.
-    """
-    from repro.fleet.parallel import (
-        _ensure_picklable,
-        _pool_context,
-        _run_inprocess,
-        chunk_indices,
-        resolve_workers,
-    )
-
-    count = len(payloads)
-    resolved = resolve_workers(workers, count)
-    if count == 0:
-        supervisor.new_report(0)
-        return []
-    _ensure_picklable(run_job, payloads)
-    blocks = chunk_indices(count, min(count, 4 * resolved))
-    report = supervisor.new_report(len(blocks))
-    tasks = _build_tasks(payloads, blocks)
-    ctx = _pool_context()
-    results: list = [None] * count
-
-    def start(task: _ChunkTask):
-        recv, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_collected_entry,
-            args=(send, run_job,
-                  [payloads[i] for i in task.indices],
-                  task.index, task.attempt),
-            daemon=True)
-        proc.start()
-        send.close()
-        return proc, recv
-
-    def on_success(task: _ChunkTask, payload: object) -> None:
-        for index, value in zip(task.indices, payload):
-            results[index] = value
-
-    def run_quarantined(task: _ChunkTask) -> None:
-        values = _run_inprocess(
-            run_job, [payloads[i] for i in task.indices], shared)
-        for index, value in zip(task.indices, values):
-            results[index] = value
-
-    _supervise(tasks, supervisor.policy, min(resolved, len(blocks)),
-               report, start, on_success, run_quarantined)
-    return results
+                message = worker.read()
+            except Exception as error:
+                pool.retire(worker)
+                fail(worker, "crash",
+                     f"worker died without a message "
+                     f"({type(error).__name__}: {error}; exit code "
+                     f"{worker.proc.exitcode})")
+                continue
+            if message is None:
+                continue  # partial frame, keep waiting
+            kind, payload = message
+            if kind == "result":
+                task, worker.task = worker.task, None
+                yield Outcome(task.index, payload["value"],
+                              task.attempt, worker.pid)
+            elif kind == "error":
+                fail(worker, "exception", str(payload["detail"]),
+                     payload.get("error"))
+            else:
+                fail(worker, "crash",
+                     f"worker sent unexpected frame {kind!r}")
+        elif worker.deadline is not None and worker.task is not None \
+                and now >= worker.deadline:
+            fail(worker, "timeout",
+                 f"chunk exceeded the {policy.chunk_timeout:g}s "
+                 f"watchdog")

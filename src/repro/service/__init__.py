@@ -3,11 +3,12 @@
 The service layers three pieces over the fleet engine:
 
 * :mod:`repro.service.shard` / :mod:`repro.service.dispatcher` — a
-  deterministic :class:`ShardPlan` over a seeded population, executed
-  by long-lived worker processes over a length-prefixed pipe/TCP
-  protocol, with the PR-8 retry/quarantine taxonomy
-  (:class:`~repro.fleet.resilience.RetryPolicy`) for crashes,
-  timeouts and poison shards;
+  deterministic :class:`ShardPlan` over a seeded population, one task
+  per shard on the fleet's supervised executor
+  (:func:`repro.fleet.resilience.execute`: long-lived workers over a
+  length-prefixed pipe/TCP protocol, with the
+  :class:`~repro.fleet.resilience.RetryPolicy` retry/quarantine
+  taxonomy for crashes, timeouts and poison shards);
 * :mod:`repro.service.stream` — :func:`submit_sweep` returning a
   lazy :class:`SweepHandle` that yields typed :class:`ShardResult`
   chunks in completion order, replays them in order, and merges them

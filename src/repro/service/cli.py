@@ -40,6 +40,7 @@ from repro.fleet import (
     GroupAttackFactory,
     SequentialAttackFactory,
     TempAwareAttackFactory,
+    device_payload,
 )
 from repro.fleet.resilience import PoisonedSweepError, RetryPolicy
 from repro.keygen import (
@@ -307,7 +308,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             expect = fleet.attack_results(enrollment, attack_factory)
             matches = len(merged) == len(expect) and all(
-                type(a) is type(b) for a, b in zip(merged, expect))
+                device_payload(a, key, helper)
+                == device_payload(b, key, helper)
+                for a, b, key, helper in zip(
+                    merged, expect, enrollment.keys,
+                    enrollment.helpers))
         if not matches:
             print("  single-host check: MISMATCH")
             return 1

@@ -191,7 +191,7 @@ def merge_failure_rates(plan: ShardPlan,
 
     ``datas[i]`` is shard *i*'s result ``data`` dict (or ``None`` for
     a poisoned shard under ``allow_partial``, which contributes the
-    supervised executor's zero fill).
+    fleet executor's zero fill).
     """
     parts = []
     for spec, data in zip(plan.shards, datas):

@@ -253,9 +253,7 @@ def submit_sweep(population: PopulationSpec,
                  workers: Optional[int] = None,
                  transport: str = "pipe",
                  policy: Optional[RetryPolicy] = None,
-                 registry=None,
-                 enroll_workers: Optional[int] = 1,
-                 handshake_timeout: float = 30.0) -> SweepHandle:
+                 registry=None) -> SweepHandle:
     """Submit one sharded sweep; returns a lazy :class:`SweepHandle`.
 
     Builds the seeded population, resolves the enrollment — from
@@ -270,9 +268,9 @@ def submit_sweep(population: PopulationSpec,
 
     *trials* is required for failure-rate sweeps; *attack_factory*
     (a picklable module-level callable) for the attack kinds.  The
-    remaining knobs mirror the ``Fleet`` sweep methods; *shards*,
-    *workers*, *transport*, *policy* and *handshake_timeout* mirror
-    the :class:`~repro.service.dispatcher.Dispatcher`.
+    remaining knobs mirror the ``Fleet`` sweep methods; *workers*,
+    *transport* and *policy* mirror the
+    :class:`~repro.service.dispatcher.Dispatcher`.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}; expected one "
@@ -287,8 +285,7 @@ def submit_sweep(population: PopulationSpec,
         enrollment = registry.load_enrollment(keygen_factory)
         source = "registry"
     else:
-        enrollment = fleet.enroll(keygen_factory, seed=enroll_rng,
-                                  workers=enroll_workers)
+        enrollment = fleet.enroll(keygen_factory, seed=enroll_rng)
         source = "enrolled"
     plan = ShardPlan.plan(population.seed, len(fleet), shards)
     if kind == KIND_FAILURE:
@@ -307,8 +304,7 @@ def submit_sweep(population: PopulationSpec,
             trajectory=trajectory)
         shard_jobs = [[job] for job in chunk_jobs]
     dispatcher = Dispatcher(workers=workers, transport=transport,
-                            policy=policy,
-                            handshake_timeout=handshake_timeout)
+                            policy=policy)
     outcomes = dispatcher.run(plan, kind, shard_jobs)
     return SweepHandle(plan, kind, dispatcher, outcomes, fleet,
                        enrollment, source)

@@ -113,7 +113,7 @@ def add_warehouse_parser(sub: argparse._SubParsersAction) -> None:
                      help="checkpoint and stop after N executed "
                           "cells (exit 3; rerun with --resume)")
     run.add_argument("--workers", type=int, default=1,
-                     help="process-pool width for the attack "
+                     help="worker processes for the attack "
                           "campaigns (0/None = all CPUs)")
     run.add_argument("--max-retries", type=int, default=None,
                      metavar="N",

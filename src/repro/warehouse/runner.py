@@ -35,7 +35,7 @@ from repro.fleet import (
     GroupAttackFactory,
     SequentialAttackFactory,
     TempAwareAttackFactory,
-    attack_recovered,
+    device_payload,
 )
 from repro.keygen import (
     DistillerPairingKeyGen,
@@ -52,7 +52,6 @@ from repro.warehouse.store import (
     SCHEMA_VERSION,
     config_hash,
     enrollment_fingerprint,
-    fingerprint_bits,
     sha256_hex,
 )
 
@@ -124,39 +123,6 @@ def _attack_factory(cell: MatrixCell) -> Callable:
     if cell.attack == "temp-aware":
         return TempAwareAttackFactory()
     raise ValueError(f"no attack factory for family {cell.attack!r}")
-
-
-def _device_payload(result: object, recovered: bool
-                    ) -> Dict[str, object]:
-    """Deterministic per-device outcome features (for fingerprints)."""
-    comparisons = getattr(result, "comparisons", ())
-    if isinstance(comparisons, (list, tuple)):
-        decisions = [outcome.decision for outcome in comparisons]
-        comparison_count = len(comparisons)
-    else:
-        # group-based results expose a comparison *count*, not the
-        # individual comparer outcomes
-        decisions = []
-        comparison_count = int(comparisons)
-    payload: Dict[str, object] = {
-        "recovered": bool(recovered),
-        "queries": int(getattr(result, "queries", 0)),
-        "decisions": decisions,
-        "comparison_count": comparison_count,
-    }
-    key = getattr(result, "key", None)
-    if key is not None:
-        payload["key"] = fingerprint_bits([key])
-    for attr in ("relations", "coop_relations"):
-        value = getattr(result, attr, None)
-        if value is not None:
-            payload[attr] = [int(v) for v in
-                             np.asarray(value).ravel()]
-    good_bits = getattr(result, "good_bits", None)
-    if good_bits is not None:
-        payload["good_bits"] = {str(index): int(bit)
-                                for index, bit in good_bits.items()}
-    return payload
 
 
 def _timestamp() -> str:
@@ -306,8 +272,7 @@ def _run_runnable(cell: MatrixCell, devices: int, seed: int,
     payloads: List[Dict[str, object]] = []
     for result, key, helper in zip(results, enrollment.keys,
                                    enrollment.helpers):
-        payloads.append(_device_payload(
-            result, attack_recovered(result, key, helper)))
+        payloads.append(device_payload(result, key, helper))
     recovered = sum(1 for p in payloads if p["recovered"])
     queries = [int(p["queries"]) for p in payloads]
     security = {

@@ -37,6 +37,7 @@ from repro.fleet.parallel import (
 )
 from repro.keygen import SequentialPairingKeyGen
 from repro.puf import ROArrayParams
+from repro.service import KIND_FAILURE, PopulationSpec, submit_sweep
 
 PARAMS = ROArrayParams(rows=8, cols=16, sigma_noise=300e3)
 TRIALS = 40
@@ -250,6 +251,74 @@ class TestRetryEquivalenceMatrix:
                                      supervision=supervisor)
         np.testing.assert_array_equal(observed[0], expected[0])
         assert supervisor.last_report.verdict == "recovered"
+
+
+# ----------------------------------------------------------------------
+# one state machine behind fleet sweeps and service shards
+
+
+#: Fault plans driven through both surfaces: a crash/raise/hang mix
+#: that retries recover, and a poison chunk under allow_partial.
+CROSS_SURFACE_CASES = {
+    "recovered-mix": (
+        FaultPlan(seed=1, faults=(
+            FaultSpec(chunk=0, mode="crash", attempts=(0,)),
+            FaultSpec(chunk=1, mode="raise", attempts=(0, 1)),
+            FaultSpec(chunk=3, mode="hang", attempts=(0,)))),
+        RetryPolicy(max_retries=2, chunk_timeout=TIMEOUT,
+                    backoff_base=0.01, backoff_cap=0.05)),
+    "poison-partial": (
+        FaultPlan(seed=1, faults=(
+            FaultSpec(chunk=2, mode="raise", attempts=None),)),
+        RetryPolicy(max_retries=1, backoff_base=0.01,
+                    backoff_cap=0.05, allow_partial=True)),
+}
+
+
+def report_fields(report):
+    """Report fields that must not depend on the surface (pids,
+    digests, details and failure order do)."""
+    return {
+        "verdict": report.verdict,
+        "counts": report.counts_by_kind(),
+        "retried": report.retried,
+        "degraded": report.degraded,
+        "poisoned": report.poisoned,
+        "failures": sorted((failure.kind, failure.chunk,
+                            failure.attempt)
+                           for failure in report.failures),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CROSS_SURFACE_CASES))
+def test_fleet_and_service_share_one_state_machine(case):
+    plan, policy = CROSS_SURFACE_CASES[case]
+    population = PopulationSpec(params=PARAMS, devices=4, seed=31)
+    fleet, enroll_rng = population.build()
+    enrollment = fleet.enroll(sequential_factory, seed=enroll_rng)
+    supervisor = Supervisor(policy)
+    with faultinject.activated(plan):
+        fleet_rates = fleet.failure_rates(
+            enrollment, trials=TRIALS, workers=2,
+            supervision=supervisor)
+        handle = submit_sweep(population, sequential_factory,
+                              KIND_FAILURE, trials=TRIALS, shards=4,
+                              workers=2, policy=policy)
+        service_rates = handle.collect()
+    np.testing.assert_array_equal(fleet_rates, service_rates)
+    # One device per chunk/shard: poisoned ones are zero-filled, the
+    # rest match a fault-free run.
+    clean_fleet, clean_rng = population.build()
+    expected = clean_fleet.failure_rates(
+        clean_fleet.enroll(sequential_factory, seed=clean_rng),
+        trials=TRIALS)
+    expected[handle.report.poisoned] = 0.0
+    np.testing.assert_array_equal(fleet_rates, expected)
+    assert supervisor.last_report.chunks == handle.report.chunks == 4
+    assert (report_fields(supervisor.last_report)
+            == report_fields(handle.report))
+    assert supervisor.last_report.verdict == (
+        "recovered" if case == "recovered-mix" else "partial")
 
 
 # ----------------------------------------------------------------------
@@ -477,11 +546,17 @@ class TestRetryPolicy:
 
 
 class TestPoolHygiene:
-    def test_worker_exception_leaves_no_shm_segments(self):
+    @pytest.mark.parametrize("run", [
+        lambda payloads: run_scattered(failing_job, payloads,
+                                       (np.float64,), workers=2),
+        lambda payloads: run_collected(failing_job, payloads,
+                                       workers=2),
+    ], ids=["scatter", "collect"])
+    def test_worker_exception_leaves_no_shm_segments(self, run):
+        # Unsupervised sweeps fail fast with the job's own exception.
         before = shm_listing()
         with pytest.raises(ValueError, match="bad payload"):
-            run_scattered(failing_job, list(range(85, 95)),
-                          (np.float64,), workers=2)
+            run(list(range(85, 95)))
         assert shm_listing() == before
 
     def test_allocation_failure_disposes_earlier_buffers(self):

@@ -26,7 +26,7 @@ from repro.service import (
     WorkerHandshakeError,
     submit_sweep,
 )
-from repro.service import dispatcher as dispatcher_module
+from repro.fleet import resilience as resilience_module
 
 PARAMS = ROArrayParams(rows=8, cols=16, sigma_noise=300e3)
 SEED = 9
@@ -65,9 +65,9 @@ class TestHandshake:
     def test_worker_death_before_handshake_is_an_error(
             self, monkeypatch):
         """A worker dying pre-handshake must raise, never hang."""
-        monkeypatch.setattr(dispatcher_module, "worker_main",
+        monkeypatch.setattr(resilience_module, "worker_main",
                             _exit_before_handshake)
-        dispatcher = Dispatcher(workers=2, handshake_timeout=10.0)
+        dispatcher = Dispatcher(workers=2)
         plan = ShardPlan.plan(0, 4, 2)
         with pytest.raises(WorkerHandshakeError,
                            match="exited with code 3 before "

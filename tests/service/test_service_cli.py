@@ -1,8 +1,10 @@
 """``repro service`` CLI: enroll/sweep wiring and exit codes."""
 
+import dataclasses
 import json
 
 from repro.cli import main
+from repro.service import SweepHandle
 
 
 class TestEnrollAndSweep:
@@ -43,6 +45,36 @@ class TestEnrollAndSweep:
                      "--shards", "2", "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "keys recovered" in out
+
+
+class TestSingleHostCheck:
+    ATTACK_RESULTS_SWEEP = ["service", "sweep", "--scheme", "sequential",
+                            "--devices", "2", "--kind", "attack-results",
+                            "--shards", "2", "--workers", "2",
+                            "--check-single-host"]
+
+    def test_attack_results_match(self, capsys):
+        assert main(self.ATTACK_RESULTS_SWEEP) == 0
+        assert "single-host check: bitwise-identical" in \
+            capsys.readouterr().out
+
+    def test_attack_results_relation_flip_is_a_mismatch(
+            self, monkeypatch, capsys):
+        # Same result types, one recovered relation different: the
+        # check compares outcome features, not just types.
+        collect = SweepHandle.collect
+
+        def flipped(handle):
+            merged = collect(handle)
+            relations = merged[0].relations.copy()
+            relations[1] ^= 1
+            merged[0] = dataclasses.replace(merged[0],
+                                            relations=relations)
+            return merged
+
+        monkeypatch.setattr(SweepHandle, "collect", flipped)
+        assert main(self.ATTACK_RESULTS_SWEEP) == 1
+        assert "single-host check: MISMATCH" in capsys.readouterr().out
 
 
 class TestArgumentErrors:
