@@ -311,8 +311,9 @@ def _fleet_build(args: argparse.Namespace):
                  seed=manufacture_rng), enroll_rng
 
 
-def _fleet_supervision(args: argparse.Namespace):
-    """A supervisor when any resilience knob was set, else ``None``."""
+def build_supervision(args: argparse.Namespace):
+    """A supervisor when ``--max-retries``/``--chunk-timeout`` was
+    set, else ``None`` (plain fail-fast execution)."""
     if args.max_retries is None and args.chunk_timeout is None:
         return None
     from repro.fleet import RetryPolicy, Supervisor
@@ -321,12 +322,20 @@ def _fleet_supervision(args: argparse.Namespace):
                                   chunk_timeout=args.chunk_timeout))
 
 
-def _fleet_wrapup(args: argparse.Namespace, supervision) -> None:
-    """Shared supervised-run reporting for both fleet branches."""
+def report_supervision(args: argparse.Namespace, supervision) -> None:
+    """Print a supervised run's failures; write ``--failure-report``.
+
+    An unsupervised run writes the empty tally, so the artifact
+    exists whenever it was asked for.
+    """
+    from repro.fleet import Supervisor
+
     if supervision is not None and supervision.failures:
         for line in supervision.summary_lines():
             print(f"  supervised {line}")
-    if args.failure_report and supervision is not None:
+    if args.failure_report:
+        if supervision is None:
+            supervision = Supervisor()
         path = supervision.write_report(args.failure_report)
         print(f"  failure report      : {path}")
 
@@ -363,7 +372,7 @@ def _cmd_fleet_attack(args: argparse.Namespace) -> int:
             enrollment, attack_factory, workers=args.workers,
             batch=args.batch, supervision=supervision)
 
-    supervision = _fleet_supervision(args)
+    supervision = build_supervision(args)
     start = time.perf_counter()
     recovered, queries = campaign(supervision)
     elapsed = time.perf_counter() - start
@@ -378,7 +387,7 @@ def _cmd_fleet_attack(args: argparse.Namespace) -> int:
     throughput = args.devices / elapsed if elapsed else 0.0
     print(f"  campaign time       : {elapsed:.2f} s "
           f"({throughput:.2f} devices/s)")
-    _fleet_wrapup(args, supervision)
+    report_supervision(args, supervision)
     if args.check_reproducible:
         reference_recovered, reference_queries = campaign(None)
         if not (np.array_equal(recovered, reference_recovered)
@@ -412,7 +421,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                                     supervision=supervision)
         return enrollment, rates
 
-    supervision = _fleet_supervision(args)
+    supervision = build_supervision(args)
     start = time.perf_counter()
     enrollment, rates = sweep(supervision)
     elapsed = time.perf_counter() - start
@@ -428,7 +437,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
           f"{rates.max():.4f}")
     print(f"  sweep time          : {elapsed:.2f} s "
           f"({throughput:,.0f} reconstructions/s)")
-    _fleet_wrapup(args, supervision)
+    report_supervision(args, supervision)
     if args.check_reproducible:
         _, reference = sweep(None)
         if not np.array_equal(rates, reference):

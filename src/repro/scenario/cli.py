@@ -11,13 +11,14 @@ CLI::
                                [--report PATH] [--resume]
                                [--stop-after N]
 
-``conformance`` checkpoints like ``warehouse run``: with ``--store``,
-each case's record is appended the moment the case finishes, and
+``conformance`` runs the corpus cases as warehouse cells through the
+routine ``repro warehouse run`` uses
+(:func:`repro.warehouse.cli.run_checkpointed`): with ``--store``,
+each case's record is appended the moment the case finishes,
 ``--resume`` skips cases already recorded for this ``(commit,
-config_hash, schema)`` — the configuration hash always covers the
-full (quick-sliced) corpus, so an interrupted run and its completion
-share the key.  ``--stop-after N`` is the deterministic interruption
-(exit 3) used by tests and CI.
+config_hash, schema)``, and ``--stop-after N`` is the deterministic
+interruption (exit 3).  Each record is judged against its committed
+pass-band before it is appended.
 
 Kept separate from :mod:`repro.cli` so the argument surface and the
 handlers live next to the subsystem they drive; the top-level parser
@@ -33,13 +34,11 @@ from pathlib import Path
 from repro.scenario.conformance import (
     DEFAULT_CORPUS_DIR,
     CorpusFormatError,
-    case_record,
-    corpus_config,
+    judge_record,
     load_corpus,
-    run_conformance,
-    summary_entry,
 )
 from repro.scenario.corpus import (
+    CORPUS_SCHEMA_VERSION,
     FAMILIES,
     PERTURBATIONS,
     SCHEMES,
@@ -48,11 +47,9 @@ from repro.scenario.corpus import (
     expected_bands,
     full_corpus,
     quick_corpus,
-    run_case,
 )
-from repro.warehouse.cli import detect_commit
-from repro.warehouse.store import WarehouseStore, config_hash
-from repro.warehouse.summary import append_entry
+from repro.warehouse.cli import run_checkpointed
+from repro.warehouse.runner import run_cell
 
 
 def add_scenario_parser(sub: argparse._SubParsersAction) -> None:
@@ -152,14 +149,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
                         noise_scale=PERTURBATIONS[args.perturbation])
     print(f"scenario run: {case.case_id} seed={args.seed} "
           f"devices={case.devices}")
-    result = run_case(case, args.seed)
-    for name, value in sorted(result.observed.items()):
+    record = run_cell(case, case.devices, args.seed, "", "", "run")
+    if record["security"] is None:
+        print(f"  {record['status']}: {record['reason']}")
+        return 1
+    observed = record["security"]["observed"]
+    for name, value in sorted(observed.items()):
         print(f"  {name} = {value:.6g}")
-    bands = expected_bands(case, result.observed)
+    bands = expected_bands(case, observed)
     for name, (low, high) in sorted(bands.items()):
         print(f"  band {name} = [{low:.4g}, {high:.4g}]")
-    print(f"  fingerprint {result.fingerprint} "
-          f"({result.seconds:.2f}s)")
+    seconds = (record["perf"]["enroll_seconds"]
+               + record["perf"]["attack_seconds"])
+    print(f"  fingerprint {record['security']['case_fingerprint']} "
+          f"({seconds:.2f}s)")
     return 0
 
 
@@ -180,10 +183,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
-    if args.resume and not args.store:
-        print("scenario conformance: --resume needs --store (the "
-              "checkpoint lives in the warehouse store)")
-        return 2
     try:
         seed, entries = load_corpus(args.corpus)
     except CorpusFormatError as error:
@@ -191,81 +190,26 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         return 2
     if args.quick:
         entries = [entry for entry in entries if entry.case.quick]
-    case_ids = [entry.case.case_id for entry in entries]
-    cfg = config_hash(corpus_config(seed, case_ids, args.quick))
-    commit = args.commit if args.commit is not None \
-        else detect_commit()
-    store = WarehouseStore(args.store) if args.store else None
-    skip = []
-    if args.resume:
-        done = store.recorded_cells(commit, cfg)
-        skip = [case_id for case_id in case_ids
-                if f"scenario/{case_id}" in done]
-    profile = "quick" if args.quick else "full"
-    print(f"scenario conformance: profile={profile} seed={seed} "
-          f"commit={commit[:12]} config={cfg} ({len(case_ids)} "
-          f"cells" + (f", {len(skip)} already recorded"
-                      if args.resume else "") + ")")
-
-    appended = 0
-
-    def _checkpoint(check) -> None:
-        nonlocal appended
-        if store is not None:
-            store.append([case_record(check, seed, commit, cfg,
-                                      args.quick)])
-            appended += 1
-
-    try:
-        report = run_conformance(
-            args.corpus, quick=args.quick,
-            check_reproducible=args.check_reproducible,
-            progress=print, skip=skip,
-            stop_after=args.stop_after, on_check=_checkpoint)
-    except CorpusFormatError as error:
-        print(f"scenario conformance: {error}")
-        return 2
-    if store is not None and appended:
-        print(f"appended {appended} records to {store.path} "
-              f"(config {cfg})")
-    if args.report:
+    by_cell = {entry.case.cell_id: entry for entry in entries}
+    code, records = run_checkpointed(
+        args, "scenario conformance", [entry.case for entry in entries],
+        "quick" if args.quick else "full", seed, None,
+        judge=lambda record: judge_record(by_cell[record["cell"]],
+                                          record))
+    if args.report and code != 2:
         path = Path(args.report)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report.to_payload(), indent=1)
-                        + "\n", encoding="utf-8")
+        path.write_text(json.dumps({
+            "schema_version": CORPUS_SCHEMA_VERSION,
+            "seed": seed,
+            "ok": code == 0,
+            "bands": {cell: entry.bands
+                      for cell, entry in by_cell.items()},
+            "records": records,
+        }, indent=1) + "\n", encoding="utf-8")
         print(f"report written to {path}")
-    interrupted = (args.stop_after is not None
-                   and len(skip) + len(report.checks)
-                   < len(case_ids))
-    if interrupted:
-        print(f"scenario conformance: stopped after "
-              f"{len(report.checks)} case(s) as requested - "
-              f"checkpoint saved, rerun with --resume to complete "
-              f"the corpus")
-        return 3
-    if args.summary:
-        # The summary covers the whole corpus: on a resumed run the
-        # checkpointed records come back out of the store.
-        if store is not None:
-            stored = store.matrix(commit, cfg)
-            records = [stored[f"scenario/{case_id}"]
-                       for case_id in case_ids
-                       if f"scenario/{case_id}" in stored]
-        else:
-            records = [case_record(check, seed, commit, cfg,
-                                   args.quick)
-                       for check in report.checks]
-        if records:
-            entry = summary_entry(records, commit, args.quick)
-            payload = append_entry(args.summary, entry)
-            print(f"summary entry "
-                  f"#{payload['history'][-1]['sequence']} appended "
-                  f"to {args.summary}")
-    if not report.ok:
-        print(f"scenario conformance: {len(report.failures)} "
-              f"cell(s) out of band or not reproducible")
-        return 1
-    print("scenario conformance: ok - every cell in its pass-band"
-          + (" and bitwise-reproducible"
-             if args.check_reproducible else ""))
-    return 0
+    if code == 0:
+        print("scenario conformance: ok - every cell in its pass-band"
+              + (" and bitwise-reproducible"
+                 if args.check_reproducible else ""))
+    return code

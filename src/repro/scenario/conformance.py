@@ -1,38 +1,28 @@
-"""Conformance checker: re-run corpus cells, assert in-band results.
+"""Conformance: compare re-run corpus cells with their committed bands.
 
 The committed corpus (``tests/conformance/corpus/*.json``) turns the
-scenario engine into an executable regression oracle: every cell
-re-runs its seeded campaign and must land inside its committed
-failure-rate / key-recovery pass-band.  Two further gates harden the
-suite:
+scenario engine into an executable regression oracle.  Conformance is
+three steps: :func:`load_corpus` reads the cases and their pass-bands,
+the warehouse runner executes every case as a warehouse cell (through
+:func:`repro.warehouse.cli.run_checkpointed`, the routine ``repro
+warehouse run`` uses, with its checkpoint/resume, reproducibility
+replay and summary), and :func:`judge_record` compares each record's
+observed metrics with its band, marking misses ``out-of-band``.
 
-* **Reproducibility** — ``--check-reproducible`` runs every checked
-  cell twice and requires bitwise-identical identity fingerprints
-  *within the run* (never against the committed baseline, so benign
-  refactors that legitimately re-order stream consumption remain
-  shippable; the committed fingerprint is informational).
-* **Warehouse wiring** — conformance runs condense into warehouse
-  records and a ``BENCH_scenarios.json`` summary entry, so the
-  longitudinal trajectory (``tools/bench_compare.py --trajectory``)
-  tracks scenario envelopes commit over commit alongside the attack
-  matrix.
+The corpus's baseline fingerprints are pinned by regenerating the
+whole corpus byte for byte (``repro scenario corpus generate``);
+``--check-reproducible`` additionally replays the run and requires
+bitwise-identical record identities within it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.scenario.corpus import (
-    CORPUS_SCHEMA_VERSION,
-    CaseResult,
-    ScenarioCase,
-    run_case,
-)
-from repro.warehouse.store import SCHEMA_VERSION, config_hash
+from repro.scenario.corpus import CORPUS_SCHEMA_VERSION, ScenarioCase
 
 #: Default location of the committed corpus, relative to the repo
 #: root.
@@ -78,13 +68,19 @@ def load_corpus(directory) -> Tuple[int, List[CorpusEntry]]:
             raise CorpusFormatError(
                 f"{path}: schema v{version!r}, expected "
                 f"v{CORPUS_SCHEMA_VERSION}")
-        file_seed = int(payload.get("seed", 0))
+        file_seed = payload.get("seed", 0)
+        if type(file_seed) is not int:
+            raise CorpusFormatError(
+                f"{path}: seed {file_seed!r} is not an integer")
+        cases = payload.get("cases", [])
+        if not isinstance(cases, list):
+            raise CorpusFormatError(f"{path}: cases is not a list")
         if seed is None:
             seed = file_seed
         elif seed != file_seed:
             raise CorpusFormatError(
                 f"{path}: seed {file_seed} disagrees with {seed}")
-        for position, item in enumerate(payload.get("cases", [])):
+        for position, item in enumerate(cases):
             try:
                 case = ScenarioCase.from_dict(item["case"])
                 expected = item["expected"]
@@ -97,93 +93,7 @@ def load_corpus(directory) -> Tuple[int, List[CorpusEntry]]:
                     f"{path}: cases[{position}] malformed "
                     f"({error})") from None
             entries.append(CorpusEntry(case, bands, baseline))
-    return int(seed), entries
-
-
-@dataclass(frozen=True)
-class CaseCheck:
-    """Verdict of re-running one committed cell."""
-
-    entry: CorpusEntry
-    result: CaseResult
-    violations: Tuple[str, ...]
-    #: Second-run fingerprint under ``--check-reproducible``
-    #: (``None`` when the replay was skipped).
-    replay_fingerprint: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        """In-band and (when replayed) bitwise-reproducible."""
-        return not self.violations and self.reproducible
-
-    @property
-    def reproducible(self) -> bool:
-        """Whether the replay (if any) reproduced the identity."""
-        return (self.replay_fingerprint is None
-                or self.replay_fingerprint
-                == self.result.fingerprint)
-
-
-@dataclass
-class ConformanceReport:
-    """Aggregate verdict of one conformance run."""
-
-    seed: int
-    checks: List[CaseCheck] = field(default_factory=list)
-    #: Case ids skipped by checkpoint/resume (already recorded for
-    #: this run key in the warehouse store).
-    skipped: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Every cell in-band and reproducible."""
-        return all(check.ok for check in self.checks)
-
-    @property
-    def failures(self) -> List[CaseCheck]:
-        """The cells that missed their band or drifted on replay."""
-        return [check for check in self.checks if not check.ok]
-
-    def lines(self) -> List[str]:
-        """Human-readable per-cell report lines."""
-        out: List[str] = []
-        for check in self.checks:
-            case = check.entry.case
-            shown = ", ".join(f"{name}={value:.3g}"
-                              for name, value
-                              in check.result.observed.items())
-            status = "ok" if check.ok else "FAIL"
-            out.append(f"  {status:<5}{case.case_id}: {shown} "
-                       f"({check.result.seconds:.2f}s)")
-            for violation in check.violations:
-                out.append(f"        out-of-band: {violation}")
-            if not check.reproducible:
-                out.append("        NOT REPRODUCIBLE: identity "
-                           "fingerprint drifted between two "
-                           "same-seed runs")
-        return out
-
-    def to_payload(self) -> Dict[str, object]:
-        """JSON-serialisable report (the CI artifact)."""
-        return {
-            "schema_version": CORPUS_SCHEMA_VERSION,
-            "seed": int(self.seed),
-            "ok": bool(self.ok),
-            "skipped": list(self.skipped),
-            "cells": [
-                {
-                    "case": check.entry.case.to_dict(),
-                    "observed": check.result.observed,
-                    "bands": check.entry.bands,
-                    "violations": list(check.violations),
-                    "fingerprint": check.result.fingerprint,
-                    "reproducible": bool(check.reproducible),
-                    "seconds": check.result.seconds,
-                    "ok": bool(check.ok),
-                }
-                for check in self.checks
-            ],
-        }
+    return seed, entries
 
 
 def band_violations(entry: CorpusEntry,
@@ -201,185 +111,17 @@ def band_violations(entry: CorpusEntry,
     return violations
 
 
-def check_entry(entry: CorpusEntry, seed: int,
-                check_reproducible: bool = False) -> CaseCheck:
-    """Re-run one committed cell and compare against its envelope."""
-    result = run_case(entry.case, seed)
-    replay = (run_case(entry.case, seed).fingerprint
-              if check_reproducible else None)
-    return CaseCheck(entry, result,
-                     tuple(band_violations(entry, result.observed)),
-                     replay)
+def judge_record(entry: CorpusEntry,
+                 record: Dict[str, object]) -> None:
+    """Mark a finished cell's record ``out-of-band`` when its observed
+    metrics miss *entry*'s committed bands (the reason lists them).
 
-
-def run_conformance(directory, quick: bool = False,
-                    check_reproducible: bool = False,
-                    progress: Optional[Callable[[str], None]] = None,
-                    skip: Optional[Sequence[str]] = None,
-                    stop_after: Optional[int] = None,
-                    on_check: Optional[
-                        Callable[[CaseCheck], None]] = None
-                    ) -> ConformanceReport:
-    """Check (the quick slice of) the committed corpus.
-
-    *skip* lists case ids to leave out (checkpoint/resume: cases
-    already recorded in the warehouse store for this run key); they
-    appear in the report's ``skipped`` list.  *stop_after* ends the
-    run after that many executed cases — the deterministic
-    interruption used to test resume.  *on_check* receives each
-    verdict as soon as its case finishes (the incremental-append
-    checkpoint hook).
+    Records without a security block (``error``) are left as they
+    are; they already fail the run.
     """
-    seed, entries = load_corpus(directory)
-    if quick:
-        entries = [entry for entry in entries if entry.case.quick]
-    skipped = frozenset(skip) if skip is not None else frozenset()
-    report = ConformanceReport(seed)
-    executed = 0
-    for entry in entries:
-        if entry.case.case_id in skipped:
-            report.skipped.append(entry.case.case_id)
-            continue
-        if stop_after is not None and executed >= stop_after:
-            break
-        check = check_entry(entry, seed, check_reproducible)
-        report.checks.append(check)
-        executed += 1
-        if on_check is not None:
-            on_check(check)
-        if progress is not None:
-            for line in ConformanceReport(
-                    seed, [check]).lines():
-                progress(line)
-    return report
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def corpus_config(seed: int, case_ids: Sequence[str],
-                  quick: bool) -> Dict[str, object]:
-    """The configuration dict whose hash keys a run's records.
-
-    *case_ids* must list the **full** (quick-sliced) corpus, not just
-    the cases a particular run executed: an interrupted run and its
-    ``--resume`` completion then share the hash, which is what lets
-    resume find the checkpointed records.
-    """
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "corpus_schema": CORPUS_SCHEMA_VERSION,
-        "profile": "quick" if quick else "full",
-        "seed": int(seed),
-        "cells": list(case_ids),
-    }
-
-
-def conformance_config(report: ConformanceReport,
-                       quick: bool) -> Dict[str, object]:
-    """Run-key configuration derived from a completed report."""
-    return corpus_config(
-        report.seed,
-        [check.entry.case.case_id for check in report.checks],
-        quick)
-
-
-def case_record(check: CaseCheck, seed: int, commit: str,
-                cfg: str, quick: bool) -> Dict[str, object]:
-    """One case verdict as a warehouse store record.
-
-    Cells are namespaced ``scenario/<case id>`` so they live beside
-    the attack-matrix cells without colliding; the security layer
-    reuses the summary vocabulary (``recovery_rate`` is the
-    key-regeneration success rate for failure cells) so the
-    longitudinal trajectory renders scenario envelopes unchanged.
-    """
-    case = check.entry.case
-    observed = check.result.observed
-    if case.kind == "failure":
-        recovery = 1.0 - float(observed["failure_rate_mean"])
-        queries_mean = float(case.trials)
-    else:
-        recovery = float(observed["recovery_rate"])
-        queries_mean = float(observed["queries_mean"])
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "commit": str(commit),
-        "config_hash": str(cfg),
-        "cell": f"scenario/{case.case_id}",
-        "scheme": case.scheme,
-        "attack": case.kind,
-        "countermeasure": "none",
-        "variant": case.family,
-        "status": "ok" if check.ok else "out-of-band",
-        "reason": "; ".join(check.violations),
-        "engine": "trajectory",
-        "config": dict(case.to_dict(), seed=int(seed)),
-        "security": {
-            "devices": int(case.devices),
-            "recovery_rate": recovery,
-            "queries_mean": queries_mean,
-            "observed": dict(observed),
-            "outcome_fingerprint": check.result.fingerprint,
-        },
-        "perf": {
-            "attack_seconds": float(check.result.seconds),
-            "kernel_seconds": 0.0,
-            "kernel_calls": 0,
-        },
-        "meta": {"created": _timestamp()},
-    }
-
-
-def warehouse_records(report: ConformanceReport, commit: str,
-                      quick: bool,
-                      cfg: Optional[str] = None
-                      ) -> List[Dict[str, object]]:
-    """Condense a conformance run into warehouse store records.
-
-    *cfg* overrides the configuration hash — resumable runs pass the
-    full-corpus hash (:func:`corpus_config`) so partial runs key
-    identically; without it the hash derives from the report's own
-    case list (a complete, non-resumed run).
-    """
-    if cfg is None:
-        cfg = config_hash(conformance_config(report, quick))
-    return [case_record(check, report.seed, commit, cfg, quick)
-            for check in report.checks]
-
-
-def summary_entry(records: List[Dict[str, object]], commit: str,
-                  quick: bool) -> Dict[str, object]:
-    """A ``BENCH_scenarios.json`` history entry for this run.
-
-    Mirrors :func:`repro.warehouse.summary.build_entry`'s shape
-    (benchmark means + security outcomes per cell) but keeps
-    out-of-band cells visible — an envelope miss *is* the signal the
-    trajectory should carry.
-    """
-    benchmarks: Dict[str, object] = {}
-    security: Dict[str, object] = {}
-    cfg = records[0]["config_hash"] if records else ""
-    for record in records:
-        cell = str(record["cell"])
-        benchmarks[cell] = {
-            "mean": float(record["perf"]["attack_seconds"]),
-            "kernel_seconds": 0.0,
-            "kernel_calls": 0,
-        }
-        outcome = record["security"]
-        security[cell] = {
-            "recovery_rate": float(outcome["recovery_rate"]),
-            "queries_mean": float(outcome["queries_mean"]),
-            "outcome_fingerprint": str(
-                outcome["outcome_fingerprint"]),
-        }
-    return {
-        "commit": str(commit),
-        "date": datetime.now(timezone.utc).date().isoformat(),
-        "config_hash": str(cfg),
-        "profile": "quick" if quick else "full",
-        "benchmarks": benchmarks,
-        "security": security,
-    }
+    if record["security"] is None:
+        return
+    violations = band_violations(entry, record["security"]["observed"])
+    if violations:
+        record.update(status="out-of-band",
+                      reason="; ".join(violations))

@@ -7,8 +7,8 @@ trajectory family × noise perturbation, plus a handful of full
 attack campaigns — whose *expected pass-bands* (failure-rate and
 key-recovery envelopes) are computed once from seeded baseline runs
 and committed under ``tests/conformance/corpus/``.  The conformance
-checker (:mod:`repro.scenario.conformance`) re-runs cells and
-asserts results land inside their bands.
+checker (:mod:`repro.scenario.conformance`) re-runs the cases on the
+warehouse runner and asserts results land inside their bands.
 
 Determinism contract (mirroring the warehouse matrix): a case's RNG
 roots derive from its *identifier*, never its grid position, so
@@ -22,17 +22,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.fleet import (
-    Fleet,
-    GroupAttackFactory,
-    SequentialAttackFactory,
-)
+from repro.fleet import GroupAttackFactory, SequentialAttackFactory
 from repro.keygen import (
     DistillerPairingKeyGen,
     FuzzyExtractorKeyGen,
@@ -50,7 +45,9 @@ from repro.scenario.trajectory import (
     TrajectorySpec,
     VoltageNoise,
 )
-from repro.warehouse.store import enrollment_fingerprint, sha256_hex
+from repro.warehouse.matrix import Cell
+from repro.warehouse.runner import record_line, run_matrix
+from repro.warehouse.store import sha256_hex
 
 #: Version of the corpus file layout; bump on any change to the case
 #: or band encoding.
@@ -72,6 +69,9 @@ _GEOMETRY: Dict[str, tuple] = {
 
 SCHEMES = tuple(_GEOMETRY)
 FAMILIES = ("constant", "ramp", "cycle", "vnoise", "aging")
+KINDS = ("failure", "attack")
+#: Schemes with a corpus attack campaign (``kind="attack"`` cells).
+ATTACK_SCHEMES = ("sequential", "group-based")
 #: Noise perturbation applied to the device model, by label.
 PERTURBATIONS: Dict[str, float] = {"base": 1.0, "noisy": 1.5}
 
@@ -110,24 +110,17 @@ def _keygen_factory(scheme: str) -> Callable[[], object]:
     raise ValueError(f"unknown corpus scheme {scheme!r}")
 
 
-def _attack_factory(scheme: str) -> Callable:
-    """Picklable attack factory for the corpus attack cells."""
-    if scheme == "sequential":
-        return SequentialAttackFactory("paired")
-    if scheme == "group-based":
-        rows, cols, _ = _GEOMETRY["group-based"]
-        return GroupAttackFactory(rows, cols)
-    raise ValueError(f"no corpus attack for scheme {scheme!r}")
-
-
 @dataclass(frozen=True)
-class ScenarioCase:
-    """One cell of the conformance grid.
+class ScenarioCase(Cell):
+    """One cell of the conformance grid, run as a warehouse cell.
 
     ``noise_scale`` multiplies the device model's measurement-noise
     sigma; the named perturbations map to fixed scales
     (:data:`PERTURBATIONS`), and tests may construct deliberately
-    out-of-band variants with arbitrary scales.
+    out-of-band variants with arbitrary scales.  A case pins its own
+    fleet size; ``failure`` cases run a ``trials``-long failure-rate
+    sweep, ``attack`` cases a full attack campaign, both under the
+    case's environment trajectory.
     """
 
     scheme: str
@@ -139,11 +132,45 @@ class ScenarioCase:
     trials: int = 64
     noise_scale: float = 1.0
 
+    #: Warehouse record coordinates: no countermeasure axis.
+    countermeasure = "none"
+
+    def __post_init__(self) -> None:
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown corpus scheme {self.scheme!r}")
+        if self.family not in FAMILIES:
+            raise ValueError(
+                f"unknown trajectory family {self.family!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown case kind {self.kind!r}")
+        if self.kind == "attack" and self.scheme not in ATTACK_SCHEMES:
+            raise ValueError(
+                f"no corpus attack for scheme {self.scheme!r}")
+        if self.devices < 1 or self.trials < 1:
+            raise ValueError(
+                f"devices ({self.devices}) and trials "
+                f"({self.trials}) must be positive")
+
     @property
     def case_id(self) -> str:
         """Stable identifier: kind/scheme/family/perturbation."""
         return (f"{self.kind}/{self.scheme}/{self.family}/"
                 f"{self.perturbation}")
+
+    @property
+    def cell_id(self) -> str:
+        """Warehouse cell identifier: ``scenario/<case id>``."""
+        return f"scenario/{self.case_id}"
+
+    @property
+    def attack(self) -> str:
+        """Warehouse record coordinate: the case kind."""
+        return self.kind
+
+    @property
+    def variant(self) -> str:
+        """Warehouse record coordinate: the trajectory family."""
+        return self.family
 
     def _digest(self) -> bytes:
         return hashlib.sha256(self.case_id.encode("ascii")).digest()
@@ -177,20 +204,60 @@ class ScenarioCase:
             terms = (TemperatureCycle(amplitude=15.0, period=48.0),)
         elif self.family == "vnoise":
             terms = (VoltageNoise(sigma=0.04),)
-        elif self.family == "aging":
+        else:  # "aging"
             terms = (AgingDrift(years=5.0, drift_sigma=40e3),)
-        else:
-            raise ValueError(
-                f"unknown trajectory family {self.family!r}")
         return TrajectorySpec(terms=terms, seed=traj_seed)
 
     def keygen_factory(self) -> Callable[[], object]:
         """Picklable keygen factory for this case."""
         return _keygen_factory(self.scheme)
 
-    def attack_factory(self) -> Callable:
-        """Picklable attack factory (attack cells only)."""
-        return _attack_factory(self.scheme)
+    def attack_factory(self) -> Optional[Callable]:
+        """Picklable attack factory; ``None`` for failure cases."""
+        if self.kind == "failure":
+            return None
+        if self.scheme == "sequential":
+            return SequentialAttackFactory("paired")
+        rows, cols, _ = _GEOMETRY[self.scheme]
+        return GroupAttackFactory(rows, cols)
+
+    def config(self, seed: int, devices: int,
+               profile: str) -> Dict[str, object]:
+        """The record's ``config`` layer: the case plus the seed."""
+        return dict(self.to_dict(), seed=int(seed))
+
+    def observe(self, payloads: List[Dict[str, object]],
+                security: Dict[str, object]) -> Dict[str, object]:
+        """The metrics the pass-bands judge, and the case fingerprint.
+
+        The fingerprint hashes the case's identity payload (per-device
+        failure counts, or recovery mask and query bills, plus the
+        enrollment fingerprint); the committed corpus pins it as
+        ``baseline.fingerprint``.
+        """
+        identity: Dict[str, object] = {
+            "case": self.case_id,
+            "enrollment_fingerprint":
+                security["enrollment_fingerprint"],
+        }
+        if self.kind == "failure":
+            rates = [payload["failure_rate"] for payload in payloads]
+            observed = {
+                "failure_rate_mean": float(np.mean(rates)),
+                "failure_rate_max": float(np.max(rates)),
+            }
+            identity["failures"] = [int(round(rate * self.trials))
+                                    for rate in rates]
+        else:
+            observed = {
+                "recovery_rate": float(np.mean(
+                    security["recovered_mask"])),
+                "queries_mean": float(np.mean(security["queries"])),
+            }
+            identity["recovered_mask"] = security["recovered_mask"]
+            identity["queries"] = security["queries"]
+        return {"observed": observed,
+                "case_fingerprint": sha256_hex(identity)}
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable case configuration."""
@@ -251,63 +318,6 @@ def quick_corpus() -> List[ScenarioCase]:
     return [case for case in full_corpus() if case.quick]
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    """Outcome of executing one case once."""
-
-    case: ScenarioCase
-    observed: Dict[str, float]
-    identity: Dict[str, object]
-    fingerprint: str
-    seconds: float
-
-
-def run_case(case: ScenarioCase, seed: int) -> CaseResult:
-    """Execute one case; deterministic given ``(case, seed)``.
-
-    The identity payload (per-device outcomes + enrollment
-    fingerprint) is a pure function of the configuration, so two
-    same-seed runs must agree on ``fingerprint`` byte for byte —
-    the reproducibility half of the conformance gate.
-    """
-    root = np.random.default_rng(
-        np.random.SeedSequence(case.seed_material(seed)))
-    manufacture_rng, enroll_rng = root.spawn(2)
-    fleet = Fleet(case.array_params(), size=case.devices,
-                  seed=manufacture_rng)
-    start = time.perf_counter()
-    enrollment = fleet.enroll(case.keygen_factory(), seed=enroll_rng)
-    spec = case.trajectory_spec()
-    identity: Dict[str, object] = {
-        "case": case.case_id,
-        "enrollment_fingerprint": enrollment_fingerprint(
-            enrollment.helpers, enrollment.keys),
-    }
-    if case.kind == "failure":
-        rates = fleet.failure_rates(enrollment, case.trials,
-                                    trajectory=spec)
-        observed = {
-            "failure_rate_mean": float(np.mean(rates)),
-            "failure_rate_max": float(np.max(rates)),
-        }
-        identity["failures"] = [int(round(rate * case.trials))
-                                for rate in rates]
-    elif case.kind == "attack":
-        recovered, queries = fleet.attack_success(
-            enrollment, case.attack_factory(), trajectory=spec)
-        observed = {
-            "recovery_rate": float(np.mean(recovered)),
-            "queries_mean": float(np.mean(queries)),
-        }
-        identity["recovered_mask"] = [bool(v) for v in recovered]
-        identity["queries"] = [int(q) for q in queries]
-    else:
-        raise ValueError(f"unknown case kind {case.kind!r}")
-    seconds = time.perf_counter() - start
-    return CaseResult(case, observed, identity,
-                      sha256_hex(identity), seconds)
-
-
 def expected_bands(case: ScenarioCase,
                    observed: Dict[str, float]
                    ) -> Dict[str, List[float]]:
@@ -351,20 +361,26 @@ def build_corpus(cases: List[ScenarioCase], seed: int,
     """Run baselines and assemble per-scheme corpus payloads.
 
     Returns ``{scheme: corpus-file payload}``; each payload carries
-    the cases' configurations, expected bands and informational
-    baseline observations (including the identity fingerprint, which
-    the checker uses for *same-run* reproducibility only — never as
-    a cross-commit gate, so benign refactors stay shippable).
+    the cases' configurations, expected bands and baseline
+    observations, including the case fingerprint.  Regenerating the
+    corpus from the same seed reproduces the committed files byte for
+    byte.
     """
     payloads: Dict[str, Dict[str, object]] = {}
-    for case in cases:
-        result = run_case(case, seed)
+    by_id = {case.cell_id: case for case in cases}
+
+    def collect(record: Dict[str, object]) -> None:
+        if record["security"] is None:
+            raise RuntimeError(f"{record['cell']}: {record['reason']}")
+        case = by_id[record["cell"]]
+        observed = record["security"]["observed"]
         entry = {
             "case": case.to_dict(),
             "expected": {
-                "bands": expected_bands(case, result.observed),
-                "baseline": dict(result.observed,
-                                 fingerprint=result.fingerprint),
+                "bands": expected_bands(case, observed),
+                "baseline": dict(
+                    observed,
+                    fingerprint=record["security"]["case_fingerprint"]),
             },
         }
         payload = payloads.setdefault(case.scheme, {
@@ -375,11 +391,9 @@ def build_corpus(cases: List[ScenarioCase], seed: int,
         })
         payload["cases"].append(entry)
         if progress is not None:
-            shown = ", ".join(f"{name}={value:.3g}"
-                              for name, value in
-                              result.observed.items())
-            progress(f"  {case.case_id}: {shown} "
-                     f"({result.seconds:.2f}s)")
+            progress(record_line(record))
+
+    run_matrix(cases, "corpus", seed, None, "", on_record=collect)
     return payloads
 
 

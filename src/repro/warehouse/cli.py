@@ -10,12 +10,14 @@ Wires the warehouse subsystem into the top-level CLI::
     repro warehouse diff BASE CURRENT --store PATH
     repro warehouse trajectory [BENCH_*.json ...]
 
-``run`` checkpoints: every cell record is appended to the store the
-moment its cell finishes, so a killed run resumes with ``--resume``
-(cells already recorded for this ``(commit, config_hash, schema)``
-are skipped; the configuration hash covers the *full* matrix, so the
-resumed records land under the same key).  ``--stop-after N`` is the
-deterministic interruption used by tests and the CI chaos-smoke job.
+``run`` and ``repro scenario conformance`` share one checkpointed
+run routine (:func:`run_checkpointed`): every cell record is appended
+to the store the moment its cell finishes, so a killed run resumes
+with ``--resume`` (cells already recorded for this ``(commit,
+config_hash, schema)`` are skipped; the configuration hash covers the
+*full* cell list, so the resumed records land under the same key).
+``--stop-after N`` is the deterministic interruption (exit 3) used by
+tests and the CI chaos-smoke job.
 
 ``verify`` exit codes are disjoint so CI can assert on them: 0 ok,
 1 identity mismatch between same-key records, 2 missing store or
@@ -30,20 +32,22 @@ only delegates.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import subprocess
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cli import build_supervision, report_supervision
 from repro.warehouse.diff import diff_matrices
 from repro.warehouse.matrix import (
+    Cell,
     full_matrix,
     quick_matrix,
     select_cells,
 )
 from repro.warehouse.runner import (
     matrix_config,
+    record_line,
     run_matrix,
 )
 from repro.warehouse.store import (
@@ -195,29 +199,118 @@ def run_warehouse(args: argparse.Namespace) -> int:
     return handler(args)
 
 
-def _build_supervision(args: argparse.Namespace):
-    """A :class:`~repro.fleet.resilience.Supervisor` when any
-    resilience knob was set, else ``None`` (plain execution)."""
-    if args.max_retries is None and args.chunk_timeout is None:
-        return None
-    from repro.fleet.resilience import RetryPolicy, Supervisor
-    retries = 2 if args.max_retries is None else args.max_retries
-    return Supervisor(RetryPolicy(max_retries=retries,
-                                  chunk_timeout=args.chunk_timeout))
+def drifted_cells(records: Sequence[Dict[str, object]],
+                  replay: Sequence[Dict[str, object]]) -> List[str]:
+    """Cells whose replayed record identity differs from the first."""
+    return [str(first["cell"]) for first, second in zip(records, replay)
+            if canonical_json(record_identity(first))
+            != canonical_json(record_identity(second))]
 
 
-def _write_failure_report(path: str, supervision) -> None:
-    """Persist the failure-taxonomy artifact for CI."""
-    payload = (supervision.to_payload() if supervision is not None
-               else {"sweeps": 0, "failures": 0, "counts": {},
-                     "reports": []})
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                      + "\n", encoding="ascii")
-    print(f"failure report ({payload['failures']} failure(s) over "
-          f"{payload['sweeps']} supervised sweep(s)) written to "
-          f"{target}")
+def run_checkpointed(args: argparse.Namespace, label: str,
+                     cells: Sequence[Cell], profile: str, seed: int,
+                     devices: Optional[int],
+                     judge: Optional[
+                         Callable[[Dict[str, object]], None]] = None,
+                     **options) -> Tuple[int, List[Dict[str, object]]]:
+    """Run *cells* with checkpoint/resume; ``(exit code, records)``.
+
+    The one run routine of ``warehouse run`` and ``scenario
+    conformance``.  It reads the options both share from *args*
+    (``commit``, ``store``, ``resume``, ``stop_after``,
+    ``check_reproducible``, ``summary``); *options* pass through to
+    :func:`~repro.warehouse.runner.run_matrix`.  *judge* may mark a
+    finished record (the conformance band check) before it is
+    appended, printed or compared.
+
+    Every record is appended to the store the moment its cell
+    finishes, so a killed run loses at most the in-flight cell.  The
+    configuration hash covers the full *cells* list, so ``--resume``
+    finds the checkpoint and skips what it recorded.  The returned
+    records cover the whole run — on a resumed run, this run's plus
+    the checkpointed ones — except after a ``--stop-after``
+    interruption (exit 3), when they are this run's.  Exit 1 when a
+    record is neither ``ok`` nor ``n/a`` or the replay drifted, 2 for
+    ``--resume`` without a store.
+    """
+    if args.resume and not args.store:
+        print(f"{label}: --resume needs --store (the checkpoint lives "
+              f"in the warehouse store)")
+        return 2, []
+    commit = args.commit if args.commit is not None \
+        else detect_commit()
+    cfg = config_hash(matrix_config(cells, profile, seed, devices))
+    store = WarehouseStore(args.store) if args.store else None
+    skip: List[str] = []
+    if args.resume:
+        done = store.recorded_cells(commit, cfg)
+        skip = [cell.cell_id for cell in cells
+                if cell.cell_id in done]
+    print(f"{label}: profile={profile} seed={seed} "
+          + (f"devices={devices} " if devices is not None else "")
+          + f"commit={commit[:12]} config={cfg} ({len(cells)} cells"
+          + (f", {len(skip)} already recorded" if args.resume
+             else "") + ")")
+
+    def execute(on_record=None) -> List[Dict[str, object]]:
+        return run_matrix(cells, profile, seed, devices, commit,
+                          skip=skip, on_record=on_record,
+                          stop_after=args.stop_after, **options)
+
+    records: List[Dict[str, object]] = []
+
+    def checkpoint(record: Dict[str, object]) -> None:
+        if judge is not None:
+            judge(record)
+        if store is not None:
+            store.append([record])
+        records.append(record)
+        if record["security"] is not None:
+            print(record_line(record))
+
+    execute(checkpoint)
+    if store is not None:
+        print(f"appended {len(records)} records to {store.path} "
+              f"(config {cfg})")
+    if len(skip) + len(records) < len(cells):
+        print(f"{label}: stopped after {len(records)} cell(s) as "
+              f"requested - checkpoint saved, rerun with --resume "
+              f"to complete the run")
+        return 3, records
+    if args.check_reproducible:
+        second = execute()
+        if judge is not None:
+            for record in second:
+                judge(record)
+        drifted = drifted_cells(records, second)
+        if drifted:
+            print(f"{label}: NOT REPRODUCIBLE - {len(drifted)} "
+                  f"cell(s) drifted between two same-seed runs: "
+                  f"{', '.join(drifted)}")
+            return 1, records
+        print(f"{label}: reproducibility check ok (two same-seed "
+              f"runs, identical record identities)")
+    if store is not None:
+        stored = store.matrix(commit, cfg)
+        records = [stored[cell.cell_id] for cell in cells
+                   if cell.cell_id in stored]
+    by_status = {"ok": 0, "n/a": 0, "error": 0}
+    for record in records:
+        status = str(record["status"])
+        by_status[status] = by_status.get(status, 0) + 1
+    print("matrix complete: " + " / ".join(
+        f"{count} {status}" for status, count in by_status.items()))
+    failed = [record for record in records
+              if record["status"] not in ("ok", "n/a")]
+    for record in failed:
+        print(f"  {str(record['status']).upper()} {record['cell']}: "
+              f"{record['reason']}")
+    if args.summary:
+        entry = build_entry(records, commit, profile)
+        payload = append_entry(args.summary, entry)
+        print(f"summary entry #{payload['history'][-1]['sequence']} "
+              f"appended to {args.summary}")
+    return (1 if failed else 0), records
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -229,86 +322,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     devices = args.devices if args.devices is not None \
         else (2 if args.quick else 4)
-    commit = args.commit if args.commit is not None \
-        else detect_commit()
-    cfg = config_hash(matrix_config(cells, profile, args.seed,
-                                    devices))
-    store = WarehouseStore(args.store)
-    skip: List[str] = []
-    if args.resume:
-        done = store.recorded_cells(commit, cfg)
-        skip = [cell.cell_id for cell in cells
-                if cell.cell_id in done]
-    print(f"warehouse run: profile={profile} seed={args.seed} "
-          f"devices={devices} commit={commit[:12]} config={cfg} "
-          f"({len(cells)} cells"
-          + (f", {len(skip)} already recorded" if args.resume
-             else "") + ")")
-    supervision = _build_supervision(args)
-    # Checkpoint discipline: append each record the moment its cell
-    # finishes, so a killed run loses at most the in-flight cell and
-    # --resume picks up from the store.
-    records: List[Dict[str, object]] = []
-
-    def _checkpoint(record: Dict[str, object]) -> None:
-        store.append([record])
-        records.append(record)
-
-    run_matrix(cells, profile, args.seed, devices, commit,
-               progress=print, skip=skip, on_record=_checkpoint,
-               stop_after=args.stop_after, workers=args.workers,
-               supervision=supervision,
-               registry_dir=args.enrollment_registry)
-    if supervision is not None and supervision.failures:
-        for line in supervision.summary_lines():
-            print(f"  supervised {line}")
-    if args.failure_report:
-        _write_failure_report(args.failure_report, supervision)
-    print(f"appended {len(records)} records to {store.path} "
-          f"(config {cfg})")
-    interrupted = (args.stop_after is not None
-                   and len(skip) + len(records) < len(cells))
-    if interrupted:
-        print(f"warehouse run: stopped after {len(records)} cell(s) "
-              f"as requested - checkpoint saved, rerun with "
-              f"--resume to complete the matrix")
-        return 3
-    if args.check_reproducible:
-        replay = run_matrix(cells, profile, args.seed, devices,
-                            commit, skip=skip, workers=args.workers,
-                            supervision=supervision,
-                            registry_dir=args.enrollment_registry)
-        drifted = [
-            str(first["cell"])
-            for first, second in zip(records, replay)
-            if canonical_json(record_identity(first))
-            != canonical_json(record_identity(second))]
-        if drifted:
-            print(f"warehouse run: NOT REPRODUCIBLE - "
-                  f"{len(drifted)} cell(s) drifted between two "
-                  f"same-seed runs: {', '.join(drifted)}")
-            return 1
-        print("warehouse run: reproducibility check ok "
-              "(two same-seed runs, identical record identities)")
-    # Status tally and summary cover the whole matrix: on a resumed
-    # run that means this run's records plus the checkpointed ones.
-    stored = store.matrix(commit, cfg)
-    full_records = [stored[cell.cell_id] for cell in cells
-                    if cell.cell_id in stored]
-    by_status = {status: sum(1 for r in full_records
-                             if r["status"] == status)
-                 for status in ("ok", "n/a", "error")}
-    print(f"matrix complete: {by_status['ok']} ok / "
-          f"{by_status['n/a']} n/a / {by_status['error']} error")
-    for record in full_records:
-        if record["status"] == "error":
-            print(f"  ERROR {record['cell']}: {record['reason']}")
-    if args.summary:
-        entry = build_entry(full_records, commit, profile)
-        payload = append_entry(args.summary, entry)
-        print(f"summary entry #{payload['history'][-1]['sequence']} "
-              f"appended to {args.summary}")
-    return 1 if by_status["error"] else 0
+    supervision = build_supervision(args)
+    code, _ = run_checkpointed(
+        args, "warehouse run", cells, profile, args.seed, devices,
+        workers=args.workers, supervision=supervision,
+        registry_dir=args.enrollment_registry)
+    report_supervision(args, supervision)
+    return code
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

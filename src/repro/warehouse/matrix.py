@@ -13,14 +13,35 @@ construction and a diff can never silently lose coverage.
 Runnable cells pin the paper geometry they reproduce (Fig. 6's 4×10
 array for the group/distiller constructions, 8×16 for the pairing
 families), and a ``quick`` flag marks the reduced matrix the CI smoke
-job runs.
+job runs.  Each cell also builds its own seeded world — device model,
+keygen and attack factories — through the :class:`Cell` protocol the
+runner executes, which the scenario conformance cases speak too.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.ecc import BlockwiseCode, ReedMullerCode
+from repro.fleet import (
+    DistillerAttackFactory,
+    GroupAttackFactory,
+    SequentialAttackFactory,
+    TempAwareAttackFactory,
+)
+from repro.keygen import (
+    DistillerPairingKeyGen,
+    FuzzyExtractorKeyGen,
+    GroupBasedKeyGen,
+    HardenedGroupBasedKeyGen,
+    HardenedTempAwareKeyGen,
+    SequentialPairingKeyGen,
+    TempAwareKeyGen,
+)
+from repro.puf import ROArrayParams
 
 #: The five keygen schemes (axis order is the matrix iteration order).
 SCHEMES = ("sequential", "temp-aware", "group-based", "distiller",
@@ -53,8 +74,62 @@ _REASON_RECON_ONLY = ("the reconstruction-timing baseline quantifies "
                       "§VII-C)")
 
 
+#: Reconstruction attempts per device of a failure-rate sweep cell.
+SWEEP_TRIALS = 64
+
+
+class Cell:
+    """What :func:`repro.warehouse.runner.run_cell` needs of a cell.
+
+    A cell names itself (``cell_id``, ``scheme``, ``attack``,
+    ``countermeasure``, ``variant``), says whether it runs
+    (``runnable``, else the ``reason`` of its ``n/a`` record) and
+    supplies its seeded world: RNG root, device model, keygen, an
+    attack factory (``None`` runs a ``trials``-long failure-rate sweep
+    instead) and an optional environment trajectory.  ``devices``
+    pins the cell's fleet size (``None`` takes the run's).  The
+    defaults here are those of a plain matrix cell.
+    """
+
+    runnable = True
+    reason = ""
+    devices: Optional[int] = None
+    trials = SWEEP_TRIALS
+
+    def trajectory_spec(self):
+        """The devices' environment trajectory (``None``: nominal)."""
+        return None
+
+    def observe(self, payloads: List[Dict[str, object]],
+                security: Dict[str, object]) -> Dict[str, object]:
+        """Extra ``security`` fields derived from the per-device
+        payloads (none for a plain matrix cell)."""
+        return {}
+
+
 @dataclass(frozen=True)
-class MatrixCell:
+class _ReedMullerProvider:
+    """Picklable provider of blockwise Reed–Muller codes (ML-decoded).
+
+    First-order RM decoding never fails — it is the matrix's
+    maximum-likelihood column: the §VI-A bounded-distance calculus
+    does not apply and the attack switches to its online-calibration
+    variant automatically.
+    """
+
+    m: int = 5
+
+    def __call__(self, bits: int) -> BlockwiseCode:
+        """Smallest blockwise RM(1, m) covering *bits* data bits."""
+        inner = ReedMullerCode(self.m)
+        blocks = max(1, -(-bits // inner.k))
+        if blocks == 1:
+            return inner
+        return BlockwiseCode(inner, blocks)
+
+
+@dataclass(frozen=True)
+class MatrixCell(Cell):
     """One cell of the attack × scheme × countermeasure matrix.
 
     ``runnable`` cells carry the experiment geometry; inapplicable
@@ -87,6 +162,71 @@ class MatrixCell:
         growth (derived from the cell identifier, not its position)."""
         digest = hashlib.sha256(self.cell_id.encode("ascii")).digest()
         return [int(seed), int.from_bytes(digest[:8], "little")]
+
+    def config(self, seed: int, devices: int,
+               profile: str) -> Dict[str, object]:
+        """The record's ``config`` layer."""
+        return {"seed": int(seed), "devices": int(devices),
+                "rows": self.rows, "cols": self.cols,
+                "profile": profile}
+
+    def array_params(self) -> ROArrayParams:
+        """The cell's device model (the paper geometry it pins)."""
+        if self.temp_slope_sigma > 0:
+            return ROArrayParams(rows=self.rows, cols=self.cols,
+                                 temp_slope_sigma=self.temp_slope_sigma)
+        return ROArrayParams(rows=self.rows, cols=self.cols)
+
+    def keygen_factory(self) -> Callable[[], object]:
+        """Picklable keygen factory of a runnable cell."""
+        if self.scheme == "sequential":
+            provider = (_ReedMullerProvider(5)
+                        if self.variant == "rm5" else None)
+            return functools.partial(SequentialPairingKeyGen,
+                                     threshold=300e3,
+                                     code_provider=provider)
+        if self.scheme == "group-based":
+            if self.countermeasure == "hardened":
+                return functools.partial(
+                    HardenedGroupBasedKeyGen, rows=self.rows,
+                    cols=self.cols, max_polynomial_span=20e6,
+                    group_threshold=120e3)
+            return functools.partial(GroupBasedKeyGen,
+                                     group_threshold=120e3)
+        if self.scheme == "temp-aware":
+            cls = (HardenedTempAwareKeyGen
+                   if self.countermeasure == "hardened"
+                   else TempAwareKeyGen)
+            return functools.partial(cls, t_min=-10, t_max=80,
+                                     threshold=150e3)
+        if self.scheme == "distiller":
+            return functools.partial(DistillerPairingKeyGen, self.rows,
+                                     self.cols,
+                                     pairing_mode=self.variant, k=5)
+        if self.scheme == "fuzzy-extractor":
+            out_bits = 48 if self.variant == "8x16" else 16
+            return functools.partial(FuzzyExtractorKeyGen, self.rows,
+                                     self.cols, out_bits=out_bits)
+        raise ValueError(
+            f"no keygen factory for scheme {self.scheme!r}")
+
+    def attack_factory(self) -> Optional[Callable]:
+        """Picklable attack factory of a runnable cell; ``None`` for
+        the §VII-C reconstruction-timing sweep."""
+        if self.attack in ("sequential", "ml"):
+            return SequentialAttackFactory("paired")
+        if self.attack == "sprt":
+            return SequentialAttackFactory("sprt")
+        if self.attack == "group":
+            return GroupAttackFactory(self.rows, self.cols)
+        if self.attack == "distiller":
+            return DistillerAttackFactory(self.rows, self.cols)
+        if self.attack == "temp-aware":
+            return TempAwareAttackFactory()
+        if self.attack == "reconstruction":
+            return None
+        raise ValueError(
+            f"no attack factory for family {self.attack!r}")
 
 
 def _runnable(scheme: str, attack: str, countermeasure: str,

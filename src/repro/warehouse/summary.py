@@ -54,14 +54,18 @@ def build_entry(records: Sequence[Dict[str, object]], commit: str,
                 sequence: Optional[int] = None) -> Dict[str, object]:
     """Condense one run's records into a history entry.
 
-    Only ``ok`` cells contribute; *sequence* is normally left to
-    :func:`append_entry`, which numbers entries monotonically.
+    Every record with a ``security`` block contributes — ``ok``
+    cells, and conformance cells that ran but missed their pass-band
+    (an envelope miss *is* the signal the trajectory should carry);
+    ``n/a`` and ``error`` records have none.  *sequence* is normally
+    left to :func:`append_entry`, which numbers entries
+    monotonically.
     """
     benchmarks: Dict[str, object] = {}
     security: Dict[str, object] = {}
     config_hash = ""
     for record in records:
-        if record.get("status") != "ok":
+        if record.get("security") is None:
             continue
         cell = str(record["cell"])
         config_hash = str(record["config_hash"])

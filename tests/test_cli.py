@@ -249,7 +249,9 @@ class TestScenarioConformanceResume:
         # nothing.
         assert self.conformance(store, ["--resume"]) == 0
         out = capsys.readouterr().out
-        assert "appended" not in out
+        assert "12 already recorded" in out
+        assert "appended 0 records" in out
+        assert "scenario/" not in out
 
     def test_resume_requires_store(self, capsys):
         assert main(["scenario", "conformance", "--quick",
@@ -287,6 +289,17 @@ class TestFleetSupervised:
         out = capsys.readouterr().out
         assert "supervised sweep" in out
         assert "reproducibility" in out
+
+    def test_unsupervised_failure_report_is_the_empty_tally(
+            self, tmp_path, capsys):
+        from repro.fleet import Supervisor
+
+        report = tmp_path / "failures.json"
+        assert main(["fleet", "--devices", "2", "--trials", "10",
+                     "--failure-report", str(report)]) == 0
+        assert "failure report" in capsys.readouterr().out
+        assert json.loads(report.read_text()) == \
+            Supervisor().to_payload()
 
     def test_unsupervised_fleet_ignores_plan(self, capsys,
                                              monkeypatch):
