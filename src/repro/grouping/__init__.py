@@ -29,6 +29,7 @@ from repro.grouping.kendall import (
 from repro.grouping.packing import (
     pack_group,
     pack_key,
+    pack_keys,
     packed_length,
     packing_loss_bits,
     split_blocks,
@@ -56,6 +57,7 @@ __all__ = [
     "table1_rows",
     "pack_group",
     "pack_key",
+    "pack_keys",
     "packed_length",
     "packing_loss_bits",
     "split_blocks",

@@ -27,7 +27,7 @@ from repro.grouping.kendall import (
     order_from_frequencies,
     pair_table,
 )
-from repro.grouping.packing import pack_key
+from repro.grouping.packing import pack_key, size_layout
 from repro.keygen.base import (
     CodeProvider,
     KeyGenerator,
@@ -95,28 +95,53 @@ def kendall_stream_batch(residuals: np.ndarray,
                          grouping: GroupingHelper) -> np.ndarray:
     """Kendall streams for a ``(B, n)`` residual batch, ``(B, bits)``.
 
-    Row ``i`` equals ``kendall_stream(residuals[i], grouping)``.  Per
-    group, the batch of descending-residual orders comes from one
-    stable axis-1 argsort; the discordance bit of label pair ``(x, y)``
-    is then just a rank comparison, so no per-row Python work remains.
+    Row ``i`` equals ``kendall_stream(residuals[i], grouping)``.  The
+    groups are bucketed by size (``size_layout``); per bucket, the
+    descending-residual orders of all its groups and rows come from
+    one stable argsort, and the discordance bit of label pair
+    ``(x, y)`` is then a rank comparison, so no per-row or per-group
+    Python work remains.
     """
     residuals = np.asarray(residuals, dtype=float)
     if residuals.ndim != 2:
         raise ValueError("batch evaluation needs a (B, n) matrix")
-    chunks: List[np.ndarray] = []
-    for group in grouping.groups:
-        members = list(group)
-        if not members:
+    layout = size_layout(grouping.sizes)
+    rows = residuals.shape[0]
+    stream = np.empty((rows, layout.stream_cols.size), dtype=np.uint8)
+    group_at = stream_at = 0
+    for size, count in layout.buckets:
+        if size == 0:
             raise ValueError("empty group in helper data")
-        values = residuals[:, members]
-        order = np.argsort(-values, axis=1, kind="stable")
-        # rank[b, label] = position of the label in row b's order.
-        rank = np.argsort(order, axis=1, kind="stable")
-        xs, ys = pair_table(len(members))
-        chunks.append((rank[:, ys] < rank[:, xs]).astype(np.uint8))
-    if not chunks:
-        return np.zeros((residuals.shape[0], 0), dtype=np.uint8)
-    return np.concatenate(chunks, axis=1)
+        members = np.array([grouping.groups[j] for j in
+                            layout.groups[group_at:group_at + count]],
+                           dtype=np.intp)
+        group_at += count
+        order = np.argsort(-residuals[:, members], axis=2, kind="stable")
+        # rank[b, j, label] = position of the label in the order.
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(size), axis=2)
+        xs, ys = pair_table(size)
+        width = count * xs.size
+        stream[:, stream_at:stream_at + width] = \
+            (rank[:, :, ys] < rank[:, :, xs]).reshape(rows, width)
+        stream_at += width
+    out = np.empty_like(stream)
+    out[:, layout.stream_cols] = stream
+    return out
+
+
+def _check_members(grouping: GroupingHelper, n: int) -> None:
+    """Reject group member indices outside ``[0, n)``.
+
+    The stream extractors index residuals with the stored members, so
+    an out-of-range index would raise ``IndexError`` (too large) or
+    wrap around to another oscillator (negative).  Raises
+    ``ValueError`` instead, which the key generator reports as a
+    failed reconstruction.
+    """
+    members = [member for group in grouping.groups for member in group]
+    if members and not 0 <= min(members) <= max(members) < n:
+        raise ValueError("group member index out of range")
 
 
 @dataclass(frozen=True)
@@ -190,6 +215,7 @@ class GroupBasedKeyGen(KeyGenerator):
         residuals = self._distiller.residuals(array.x, array.y, freqs,
                                               helper.distiller)
         try:
+            _check_members(helper.grouping, array.n)
             stream = kendall_stream(residuals, helper.grouping)
             sketch = self.sketch_for(stream.size)
             corrected = self._decode_or_fail(
@@ -197,7 +223,8 @@ class GroupBasedKeyGen(KeyGenerator):
             key = pack_key(corrected, helper.grouping.sizes)
         except ValueError as exc:
             # Malformed helper data (wrong payload length, invalid
-            # Kendall word after mis-correction, bad group indices).
+            # Kendall word after mis-correction, out-of-range group
+            # members).
             raise ReconstructionFailure(str(exc)) from exc
         return self._finish(key, helper.key_check)
 
@@ -207,6 +234,7 @@ class GroupBasedKeyGen(KeyGenerator):
         """Vectorized evaluator: one decode per distinct pattern."""
         grouping = helper.grouping
         try:
+            _check_members(grouping, array.n)
             bits = sum(kendall_bit_count(len(g))
                        for g in grouping.groups)
             if any(len(g) == 0 for g in grouping.groups):

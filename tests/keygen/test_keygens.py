@@ -5,9 +5,11 @@ import pytest
 
 from repro.ecc import TrivialCode
 from repro.keygen import (
+    ConstantEvaluator,
     DistillerPairingKeyGen,
     FuzzyExtractorKeyGen,
     GroupBasedKeyGen,
+    HardenedGroupBasedKeyGen,
     OperatingPoint,
     ReconstructionFailure,
     SequentialPairingKeyGen,
@@ -153,6 +155,71 @@ class TestGroupBasedKeyGen:
         keygen = GroupBasedKeyGen(group_threshold=1e12)
         with pytest.raises(ValueError):
             keygen.enroll(small_array, rng=1)
+
+
+class TestGroupMemberIndices:
+    """Malformed group member indices give a defined rejection."""
+
+    @pytest.fixture
+    def enrolled(self, small_array):
+        keygen = GroupBasedKeyGen(distiller_degree=2,
+                                  group_threshold=120e3)
+        helper, _ = keygen.enroll(small_array, rng=2)
+        return keygen, helper
+
+    @staticmethod
+    def with_member(helper, member):
+        groups = [list(group) for group in helper.grouping.groups]
+        groups[0][0] = member
+        return helper.with_grouping(helper.grouping.with_groups(groups))
+
+    @pytest.mark.parametrize("member", [10 ** 6, 40, -1])
+    def test_out_of_range_fails_reconstruction(self, enrolled,
+                                               small_array, member):
+        keygen, helper = enrolled
+        bad = self.with_member(helper, member)
+        freqs = small_array.measure_frequencies()
+        with pytest.raises(ReconstructionFailure, match="out of range"):
+            keygen.reconstruct_from_frequencies(small_array, freqs, bad)
+        with pytest.raises(ReconstructionFailure, match="out of range"):
+            keygen.reconstruct(small_array, bad)
+
+    @pytest.mark.parametrize("member", [10 ** 6, 40, -1])
+    def test_out_of_range_gives_constant_false_evaluator(
+            self, enrolled, small_array, member):
+        keygen, helper = enrolled
+        evaluator = keygen.batch_evaluator(
+            small_array, self.with_member(helper, member))
+        assert isinstance(evaluator, ConstantEvaluator)
+        freqs = small_array.measure_frequencies_batch(3)
+        assert not evaluator.plan(freqs).execute().any()
+
+    @pytest.mark.parametrize("member", [10 ** 6, -1])
+    def test_hardened_rejects_out_of_range(self, small_array, member):
+        keygen = HardenedGroupBasedKeyGen(
+            4, 10, max_polynomial_span=1e9, distiller_degree=2,
+            group_threshold=120e3)
+        helper, _ = keygen.enroll(small_array, rng=2)
+        bad = self.with_member(helper, member)
+        with pytest.raises(ReconstructionFailure):
+            keygen.reconstruct(small_array, bad)
+        with pytest.raises(ReconstructionFailure):
+            keygen.reconstruct_from_frequencies(
+                small_array, small_array.measure_frequencies(), bad)
+
+    def test_duplicate_member_rejected_by_stream_length(self, enrolled,
+                                                        small_array):
+        # A repeated member lengthens its group's Kendall word, so the
+        # stream no longer matches the enrolled sketch.
+        keygen, helper = enrolled
+        groups = [list(group) for group in helper.grouping.groups]
+        groups[0].append(groups[0][0])
+        bad = helper.with_grouping(helper.grouping.with_groups(groups))
+        with pytest.raises(ReconstructionFailure):
+            keygen.reconstruct(small_array, bad)
+        outcomes = keygen.batch_evaluator(small_array, bad).plan(
+            small_array.measure_frequencies_batch(3)).execute()
+        assert not outcomes.any()
 
 
 class TestDistillerPairingKeyGen:
