@@ -29,27 +29,21 @@ The scalar :meth:`query` interface is preserved, so attack drivers run
 unchanged — handing them a :class:`BatchOracle` silently upgrades every
 distinguisher to the block path.
 
-The bitwise guarantee covers every scheme whose reconstruction takes
-one measurement per query (all standard constructions; for temp-aware
-the per-query sensor reads are stream-exact too, so twin runs sharing
-a ``sensor_seed`` match bitwise).  The hardened group-based
-model draws a *separate* validation readout on the scalar path and is
-only statistically equivalent here — see
-:class:`repro.keygen.validation.HardenedGroupBasedKeyGen`.
+The bitwise guarantee covers every scheme, hardened models included:
+each takes one measurement per query, and every keygen provides a
+vectorized evaluator.  For temp-aware the per-query sensor reads are
+stream-exact too, so twin runs sharing a ``sensor_seed`` match
+bitwise.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro._rng import RNGLike, ensure_rng
-from repro.keygen.base import (
-    KeyGenerator,
-    OperatingPoint,
-    ReconstructionFailure,
-)
+from repro.keygen.base import KeyGenerator, OperatingPoint
 from repro.keygen.batch import BatchEvaluator, EvalPlan
 from repro.puf.ro_array import ROArray
 
@@ -225,9 +219,7 @@ class BatchOracle:
         Returns the helper evaluator's :class:`EvalPlan`, declaring
         this block's kernel workload (keyed by the shared code/sketch)
         for the caller to run — alone or fused with other devices' —
-        before :meth:`EvalPlan.finalize`.  Schemes without a
-        vectorized evaluator resolve eagerly through the row-wise
-        reconstruction fallback and return an already-final plan.
+        before :meth:`EvalPlan.finalize`.
         """
         resolved = op if op is not None else self._op
         if self._trajectory is not None:
@@ -235,31 +227,7 @@ class BatchOracle:
         else:
             freqs = self._base_frequencies(resolved)[None, :] + rows
             env = None
-        evaluator = self._evaluator_for(helper, resolved)
-        if evaluator is not None:
-            return evaluator.plan(freqs, env)
-        if env is None:
-            ops = [resolved] * freqs.shape[0]
-        else:
-            ops = [OperatingPoint(float(t), float(v))
-                   for t, v in zip(env.temperatures, env.voltages)]
-        return EvalPlan.resolved(self._reconstruct_rows(helper, freqs,
-                                                        ops))
-
-    def _reconstruct_rows(self, helper, freqs: np.ndarray,
-                          ops: List[OperatingPoint]) -> np.ndarray:
-        """Row-wise reconstruction fallback (no vectorized evaluator),
-        row ``i`` at operating point ``ops[i]``."""
-        outcomes = np.empty(freqs.shape[0], dtype=bool)
-        for i, row_op in enumerate(ops):
-            try:
-                self._keygen.reconstruct_from_frequencies(
-                    self._array, freqs[i], helper, row_op)
-            except ReconstructionFailure:
-                outcomes[i] = False
-            else:
-                outcomes[i] = True
-        return outcomes
+        return self._evaluator_for(helper, resolved).plan(freqs, env)
 
     # ------------------------------------------------------------------
     # internals
@@ -297,18 +265,17 @@ class BatchOracle:
         return base
 
     def _evaluator_for(self, helper, op: OperatingPoint
-                       ) -> Optional[BatchEvaluator]:
+                       ) -> BatchEvaluator:
         key = id(helper)
         hit = self._evaluators.get(key)
         if hit is not None and hit[0] is helper and hit[1] == op:
             return hit[2]
         evaluator = self._keygen.batch_evaluator(self._array, helper,
                                                  op)
-        if evaluator is not None:
-            if len(self._evaluators) >= self._evaluator_cap:
-                # Evict the oldest entry only: clearing everything
-                # would drop the completion memos of helpers still in
-                # use mid-comparison.
-                self._evaluators.pop(next(iter(self._evaluators)))
-            self._evaluators[key] = (helper, op, evaluator)
+        if len(self._evaluators) >= self._evaluator_cap:
+            # Evict the oldest entry only: clearing everything would
+            # drop the completion memos of helpers still in use
+            # mid-comparison.
+            self._evaluators.pop(next(iter(self._evaluators)))
+        self._evaluators[key] = (helper, op, evaluator)
         return evaluator

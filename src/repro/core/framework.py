@@ -37,7 +37,12 @@ import numpy as np
 
 from repro.core.batch_oracle import BatchOracle
 from repro.core.oracle import HelperDataOracle
-from repro.keygen.base import OperatingPoint, key_check_digest
+from repro.keygen.base import (
+    OperatingPoint,
+    commitment_digest,
+    key_check_digest,
+    key_check_payload,
+)
 
 
 @dataclass(frozen=True)
@@ -298,11 +303,21 @@ def repair_with_commitment(key: np.ndarray, commitment: bytes,
     key = np.asarray(key, dtype=np.uint8)
     if key_check_digest(key) == commitment:
         return key.copy()
-    positions = range(key.shape[0])
+    # Flip candidates in place over the packed payload and flip them
+    # back after hashing: no per-candidate copy or re-validation.
+    payload = bytearray(key_check_payload(key))
+    masks = [(position >> 3, 0x80 >> (position & 7))
+             for position in range(key.shape[0])]
     for weight in range(1, max_flips + 1):
-        for flips in combinations(positions, weight):
-            candidate = key.copy()
-            candidate[list(flips)] ^= 1
-            if key_check_digest(candidate) == commitment:
+        for flips in combinations(range(key.shape[0]), weight):
+            for position in flips:
+                byte, bit = masks[position]
+                payload[byte] ^= bit
+            if commitment_digest(payload) == commitment:
+                candidate = key.copy()
+                candidate[list(flips)] ^= 1
                 return candidate
+            for position in flips:
+                byte, bit = masks[position]
+                payload[byte] ^= bit
     return None

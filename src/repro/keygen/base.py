@@ -140,8 +140,19 @@ def key_check_digest(key_bits: np.ndarray) -> bytes:
     Stored in helper data so the device (application) can detect a wrong
     key; attackers recompute it freely when reprogramming keys (§VI-C).
     """
+    return commitment_digest(key_check_payload(key_bits))
+
+
+def key_check_payload(key_bits: np.ndarray) -> bytes:
+    """The bytes :func:`key_check_digest` hashes: the packed bits
+    (most significant bit first), then the bit length as 4 big-endian
+    bytes."""
     bits = as_bits(key_bits)
-    payload = np.packbits(bits).tobytes() + len(bits).to_bytes(4, "big")
+    return np.packbits(bits).tobytes() + len(bits).to_bytes(4, "big")
+
+
+def commitment_digest(payload: "bytes | bytearray") -> bytes:
+    """Truncated SHA-256 of a :func:`key_check_payload`."""
     return hashlib.sha256(payload).digest()[:16]
 
 
@@ -186,10 +197,10 @@ class KeyGenerator(abc.ABC):
             op: OperatingPoint = OperatingPoint()) -> np.ndarray:
         """Regenerate the key from an already-taken measurement vector.
 
-        This is the measurement-free tail of :meth:`reconstruct`; the
-        batched simulation engine draws many measurement rows in one
-        vectorized pass and feeds them through this path (or through the
-        faster :meth:`batch_evaluator` when the scheme provides one).
+        This is the measurement-free tail of :meth:`reconstruct` and
+        the scalar reference for :meth:`batch_evaluator`, which the
+        batched simulation engine feeds many measurement rows at once
+        and which must agree with this path row for row.
         """
 
     def reseed_transient_streams(self, rng: RNGLike = None) -> None:
@@ -204,16 +215,18 @@ class KeyGenerator(abc.ABC):
         reproducible and worker-count invariant.
         """
 
+    @abc.abstractmethod
     def batch_evaluator(self, array: ROArray, helper,
                         op: OperatingPoint = OperatingPoint()):
-        """Vectorized success evaluator for this helper, or ``None``.
+        """Vectorized success evaluator for this helper.
 
-        Schemes with a vectorizable response-bit extraction return a
-        :class:`repro.keygen.batch.BatchEvaluator` mapping a ``(B, n)``
-        measurement batch to ``B`` success booleans, matching what
-        *B* sequential :meth:`reconstruct` calls on the same
-        measurements would observe.  ``None`` means callers must fall
-        back to row-wise :meth:`reconstruct_from_frequencies`.
+        Returns a :class:`repro.keygen.batch.BatchEvaluator` mapping a
+        ``(B, n)`` measurement batch to ``B`` success booleans,
+        matching what *B* sequential :meth:`reconstruct` calls on the
+        same measurements would observe.  Every scheme provides one.
+        Checks that depend only on the helper data run once here (a
+        rejection gives a ``ConstantEvaluator(False)``); checks that
+        depend on the readout become the extraction's ``valid`` mask.
 
         Evaluators speak one protocol (see ``docs/evaluators.md``):
         ``plan(freqs, env=None)`` → fused kernel →
@@ -222,7 +235,6 @@ class KeyGenerator(abc.ABC):
         code into one call.  All shipped schemes build their
         evaluators on :class:`repro.keygen.batch.SketchCompletion`.
         """
-        return None
 
     def _finish(self, recovered_key: np.ndarray,
                 key_check: bytes) -> np.ndarray:

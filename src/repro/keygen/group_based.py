@@ -13,7 +13,7 @@ all of them at once to *reprogram* the device key.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -228,6 +228,19 @@ class GroupBasedKeyGen(KeyGenerator):
             raise ReconstructionFailure(str(exc)) from exc
         return self._finish(key, helper.key_check)
 
+    def _readout_check(self, array: ROArray,
+                       helper: GroupBasedKeyHelper
+                       ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+        """Hook for device-side checks on the batch path (none here).
+
+        Called once per evaluator build.  Raising
+        :class:`ReconstructionFailure` rejects the helper for every
+        query; a returned callable maps each ``(B, n)`` residual batch
+        to the ``(B,)`` mask of readouts that pass the per-readout
+        checks, so its rows fail exactly where the scalar path would.
+        """
+        return None
+
     def batch_evaluator(self, array: ROArray,
                         helper: GroupBasedKeyHelper,
                         op: OperatingPoint = OperatingPoint()):
@@ -240,7 +253,8 @@ class GroupBasedKeyGen(KeyGenerator):
             if any(len(g) == 0 for g in grouping.groups):
                 raise ValueError("empty group in helper data")
             sketch = self.sketch_for(bits) if bits else None
-        except ValueError:
+            check = self._readout_check(array, helper)
+        except (ValueError, ReconstructionFailure):
             return ConstantEvaluator(False)
         if sketch is None:
             # A stream of zero bits cannot be provisioned; the scalar
@@ -253,7 +267,8 @@ class GroupBasedKeyGen(KeyGenerator):
         def extract(freqs: np.ndarray, env):
             residuals = distiller.residuals_batch(x, y, freqs,
                                                   distiller_helper)
-            return kendall_stream_batch(residuals, grouping), None
+            valid = None if check is None else check(residuals)
+            return kendall_stream_batch(residuals, grouping), valid
 
         completion = SketchCompletion(
             sketch, helper.sketch, helper.key_check,

@@ -9,7 +9,7 @@ key check}.  The key is the vector of enrolled response bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -103,6 +103,19 @@ class SequentialPairingKeyGen(KeyGenerator):
             lambda: sketch.recover(bits, helper.sketch))
         return self._finish(recovered, helper.key_check)
 
+    def _readout_check(self, array: ROArray,
+                       helper: SequentialKeyHelper
+                       ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+        """Hook for per-readout device checks on the batch path.
+
+        Called once per evaluator build, after the structural pair
+        check.  Returns ``None`` (no such check here) or a callable
+        mapping each ``(B, n)`` frequency batch to the ``(B,)`` mask
+        of readouts that pass, so its rows fail exactly where the
+        scalar path would.
+        """
+        return None
+
     def batch_evaluator(self, array: ROArray,
                         helper: SequentialKeyHelper,
                         op: OperatingPoint = OperatingPoint()):
@@ -119,10 +132,12 @@ class SequentialPairingKeyGen(KeyGenerator):
         except ValueError:
             # Rejected pair list: every query fails observably.
             return ConstantEvaluator(False)
+        check = self._readout_check(array, helper)
         sketch = self.sketch_for(len(pairs))
 
         def extract(freqs: np.ndarray, env):
-            return response_bits_batch(freqs, pairs), None
+            valid = None if check is None else check(freqs)
+            return response_bits_batch(freqs, pairs), valid
 
         return ResponseBitEvaluator(
             extract, SketchCompletion(sketch, helper.sketch,

@@ -10,10 +10,19 @@ helper data, plus hardened key-generator variants that enforce them:
 * **polynomial amplitude bounds** for distiller coefficients — the
   systematic trend of a real IC spans a few MHz, so a surface swinging
   orders of magnitude more is necessarily an attack payload (§VI-C);
-* **measured-threshold verification** for group maps — the device can
-  recompute, on its own residual measurements, whether every intra-group
-  pair actually exceeds ``Δf_th``;
+* **measured-threshold verification** for group maps and pair lists —
+  the device can recompute, on the readout it regenerates from,
+  whether every intra-group pair (every stored pair) actually exceeds
+  ``Δf_th``;
 * **interval sanity** for temperature-aware cooperation records.
+
+Checks that depend only on the helper data (amplitude, group
+membership, pair structure, cooperation records) run once when a
+hardened model builds its batch evaluator; a rejection makes every
+query fail.  The measured-threshold checks depend on each readout and
+run on the batch path as a vectorized mask
+(:func:`measured_threshold_mask`) that fails exactly the rows the
+scalar check rejects, so scalar and batched queries agree bitwise.
 
 The hardening is deliberately *imperfect*: the checks close the steep
 payload channels but are construction-specific patchwork — which is
@@ -23,7 +32,8 @@ bench ``bench_countermeasures.py`` quantifies what each check stops.
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +46,7 @@ from repro.keygen.sequential import (
     SequentialPairingKeyGen,
 )
 from repro.keygen.temp_aware import TempAwareKeyGen, TempAwareKeyHelper
-from repro.pairing.base import Pair
+from repro.pairing.base import Pair, pair_index_arrays, validate_pairs
 from repro.pairing.temp_aware import TempAwareHelper
 
 
@@ -49,6 +59,24 @@ class HelperDataRejected(ReconstructionFailure):
     """
 
 
+def _layout_coordinates(rows: int, cols: int
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-major ``(x, y)`` coordinates of a ``rows x cols`` array."""
+    cells = np.arange(rows * cols, dtype=float)
+    return cells % cols, cells // cols
+
+
+def _check_surface_span(helper: DistillerHelper, xs: np.ndarray,
+                        ys: np.ndarray, max_span: float) -> None:
+    """The amplitude bound over precomputed layout coordinates."""
+    values = helper.polynomial(xs, ys)
+    span = float(values.max() - values.min())
+    if span > max_span:
+        raise HelperDataRejected(
+            f"distiller surface spans {span:.3e} Hz, exceeding the "
+            f"plausibility bound {max_span:.3e} Hz")
+
+
 def validate_distiller_amplitude(helper: DistillerHelper, rows: int,
                                  cols: int,
                                  max_span: float) -> None:
@@ -58,14 +86,8 @@ def validate_distiller_amplitude(helper: DistillerHelper, rows: int,
     its peak-to-peak span against *max_span* (a design-time bound, e.g.
     four times the expected systematic amplitude).
     """
-    xs = np.arange(rows * cols, dtype=float) % cols
-    ys = np.arange(rows * cols, dtype=float) // cols
-    values = helper.polynomial(xs, ys)
-    span = float(values.max() - values.min())
-    if span > max_span:
-        raise HelperDataRejected(
-            f"distiller surface spans {span:.3e} Hz, exceeding the "
-            f"plausibility bound {max_span:.3e} Hz")
+    xs, ys = _layout_coordinates(rows, cols)
+    _check_surface_span(helper, xs, ys, max_span)
 
 
 def validate_group_thresholds(residuals: np.ndarray,
@@ -126,6 +148,34 @@ def validate_pair_thresholds(freqs: np.ndarray,
                 f"pair ({a}, {b}) violates the measured threshold")
 
 
+def group_pair_indices(grouping: GroupingHelper
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Index vectors ``(a, b)`` of every intra-group pair.
+
+    The pairs :func:`validate_group_thresholds` inspects, in its order;
+    they feed :func:`measured_threshold_mask` on the batch path.
+    """
+    return pair_index_arrays([
+        (a, b) for group in grouping.groups
+        for i, a in enumerate(group) for b in group[i + 1:]])
+
+
+def measured_threshold_mask(values: np.ndarray, first: np.ndarray,
+                            second: np.ndarray,
+                            floor: float) -> np.ndarray:
+    """Rows of a ``(B, n)`` batch that pass a measured-threshold check.
+
+    Row ``i`` is ``False`` iff some pair ``k`` has ``|values[i,
+    first[k]] - values[i, second[k]]| <= floor`` — the rejection
+    condition of :func:`validate_group_thresholds` and
+    :func:`validate_pair_thresholds`, so a NaN gap passes here exactly
+    as it passes there.
+    """
+    values = np.asarray(values, dtype=float)
+    return ~(np.abs(values[:, first] - values[:, second])
+             <= floor).any(axis=1)
+
+
 def validate_cooperation_records(scheme: TempAwareHelper) -> None:
     """Sanity checks on temperature-aware cooperation records.
 
@@ -159,7 +209,11 @@ class HardenedGroupBasedKeyGen(GroupBasedKeyGen):
     """Group-based device that validates helper data before use.
 
     Enforces the distiller amplitude bound, group-map structure and the
-    measured-threshold property on every reconstruction.
+    measured-threshold property on every reconstruction.  The
+    threshold property is checked on the readout the device
+    regenerates from, so a query takes one measurement like every
+    other model.  The batch evaluator runs the helper-only checks once
+    per helper and the threshold check as a per-readout mask.
     """
 
     def __init__(self, rows: int, cols: int,
@@ -170,52 +224,34 @@ class HardenedGroupBasedKeyGen(GroupBasedKeyGen):
         self._cols = int(cols)
         self._max_span = float(max_polynomial_span)
         self._tolerance = float(threshold_tolerance)
+        self._coordinates = _layout_coordinates(self._rows, self._cols)
 
-    def _validate(self, array, freqs,
-                  helper: GroupBasedKeyHelper) -> None:
-        validate_distiller_amplitude(helper.distiller, self._rows,
-                                     self._cols, self._max_span)
+    def _check_helper(self, array, helper: GroupBasedKeyHelper) -> None:
+        """Helper-only checks: amplitude bound and group membership."""
+        _check_surface_span(helper.distiller, *self._coordinates,
+                            self._max_span)
         validate_group_membership(helper.grouping, array.n)
+
+    def reconstruct_from_frequencies(
+            self, array, freqs, helper: GroupBasedKeyHelper,
+            op: OperatingPoint = OperatingPoint()) -> np.ndarray:
+        """Validate helper data on this readout, then regenerate."""
+        self._check_helper(array, helper)
         residuals = self.distiller.residuals(array.x, array.y, freqs,
                                              helper.distiller)
         validate_group_thresholds(residuals, helper.grouping,
                                   self.grouping.threshold,
                                   self._tolerance)
-
-    def reconstruct(self, array, helper: GroupBasedKeyHelper,
-                    op: OperatingPoint = OperatingPoint()) -> np.ndarray:
-        # Validation runs on its own measurement, as a real device
-        # would sanity-check incoming helper data before the actual
-        # regeneration readout; only the second readout regenerates.
-        """Validate helper data on its own readout, then regenerate."""
-        freqs = array.measure_frequencies(op.temperature, op.voltage)
-        self._validate(array, freqs, helper)
-        regen = array.measure_frequencies(op.temperature, op.voltage)
-        return super().reconstruct_from_frequencies(array, regen,
-                                                    helper, op)
-
-    def reconstruct_from_frequencies(
-            self, array, freqs, helper: GroupBasedKeyHelper,
-            op: OperatingPoint = OperatingPoint()) -> np.ndarray:
-        # Single-readout variant used by the batched fallback path:
-        # validation and regeneration share the one measurement, i.e.
-        # it models a device that sanity-checks the readout it is
-        # about to use.  Statistically close to, but not
-        # query-for-query identical with, the two-readout
-        # :meth:`reconstruct` — the batch engine's bitwise-equivalence
-        # guarantee therefore does not extend to this hardened model.
-        """Single-readout variant for the batched fallback path."""
-        self._validate(array, freqs, helper)
         return super().reconstruct_from_frequencies(array, freqs,
                                                     helper, op)
 
-    def batch_evaluator(self, array, helper: GroupBasedKeyHelper,
-                        op: OperatingPoint = OperatingPoint()):
-        # The measured-threshold check depends on each query's own
-        # residuals, so the bit-level fast path would skip it; fall
-        # back to row-wise reconstruction.
-        """Always ``None``: residual checks resist vectorization."""
-        return None
+    def _readout_check(self, array, helper: GroupBasedKeyHelper):
+        """Helper-only checks now; the measured threshold as a mask."""
+        self._check_helper(array, helper)
+        first, second = group_pair_indices(helper.grouping)
+        return functools.partial(
+            measured_threshold_mask, first=first, second=second,
+            floor=self.grouping.threshold * self._tolerance)
 
 
 class HardenedSequentialKeyGen(SequentialPairingKeyGen):
@@ -225,7 +261,8 @@ class HardenedSequentialKeyGen(SequentialPairingKeyGen):
     enforces (index ranges, disjointness), this variant recomputes the
     Algorithm 1 threshold property on its own readout: every stored
     pair must exceed ``Δf_th`` (scaled by *threshold_tolerance*) on the
-    frequencies the device just measured.
+    frequencies the device just measured.  The structural checks run
+    first, so the threshold check only ever indexes valid pairs.
     """
 
     def __init__(self, threshold: float,
@@ -236,20 +273,25 @@ class HardenedSequentialKeyGen(SequentialPairingKeyGen):
     def reconstruct_from_frequencies(
             self, array, freqs, helper: SequentialKeyHelper,
             op: OperatingPoint = OperatingPoint()) -> np.ndarray:
-        """Reject pairs failing the measured threshold, then regenerate."""
-        validate_pair_thresholds(freqs, helper.pairing.pairs,
-                                 self.pairing.threshold,
+        """Reject malformed pairs, then pairs failing the measured
+        threshold, then regenerate."""
+        pairs = helper.pairing.pairs
+        try:
+            validate_pairs(pairs, np.asarray(freqs).shape[0],
+                           allow_reuse=not self.pairing.enforce_disjoint)
+        except ValueError as exc:
+            raise HelperDataRejected(str(exc)) from exc
+        validate_pair_thresholds(freqs, pairs, self.pairing.threshold,
                                  self._tolerance)
         return super().reconstruct_from_frequencies(array, freqs,
                                                     helper, op)
 
-    def batch_evaluator(self, array, helper: SequentialKeyHelper,
-                        op: OperatingPoint = OperatingPoint()):
-        # The measured-threshold check depends on each query's own
-        # frequencies, so the bit-level fast path would skip it; fall
-        # back to row-wise reconstruction.
-        """Always ``None``: per-readout checks resist vectorization."""
-        return None
+    def _readout_check(self, array, helper: SequentialKeyHelper):
+        """The measured threshold as a per-readout mask."""
+        first, second = pair_index_arrays(helper.pairing.pairs)
+        return functools.partial(
+            measured_threshold_mask, first=first, second=second,
+            floor=self.pairing.threshold * self._tolerance)
 
 
 class HardenedTempAwareKeyGen(TempAwareKeyGen):

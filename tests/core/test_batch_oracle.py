@@ -10,23 +10,27 @@ query-for-query, not merely in distribution.
 import numpy as np
 import pytest
 
-from repro.core import BatchOracle, HelperDataOracle
+from repro.core import BatchOracle, HelperDataOracle, symmetric_quadratic
 from repro.core.injection import flip_orientations
 from repro.keygen import (
     DistillerPairingKeyGen,
     FuzzyExtractorKeyGen,
     GroupBasedKeyGen,
     HardenedGroupBasedKeyGen,
+    HardenedSequentialKeyGen,
+    HardenedTempAwareKeyGen,
     OperatingPoint,
     SequentialPairingKeyGen,
     TempAwareKeyGen,
 )
+from repro.keygen.batch import ConstantEvaluator, ResponseBitEvaluator
 from repro.keygen.sequential import SequentialKeyHelper
 from repro.pairing import SequentialPairingHelper
 from repro.puf import ROArray, ROArrayParams
 
 NOISY = ROArrayParams(rows=8, cols=16, sigma_noise=300e3)
 SMALL = ROArrayParams(rows=4, cols=10)
+THERMAL = ROArrayParams(rows=8, cols=16, temp_slope_sigma=8e3)
 
 
 def twins(params, seed):
@@ -51,12 +55,15 @@ class TestQueryForQueryEquivalence:
         if manipulate is not None:
             h_seq, h_batch = manipulate(h_seq), manipulate(h_batch)
         sequential = HelperDataOracle(seq_array, keygen)
-        batched = BatchOracle(batch_array, keygen)
+        # A twin keygen, so per-query transient streams (the
+        # temp-aware sensor) are consumed identically on both sides.
+        batched = BatchOracle(batch_array, make_keygen())
         expected = np.array([sequential.query(h_seq)
                              for _ in range(queries)])
         observed = batched.query_block(h_batch, queries)
         np.testing.assert_array_equal(expected, observed)
         assert sequential.queries == batched.queries == queries
+        return expected
 
     def test_sequential_scheme_nominal(self):
         self.check(lambda: SequentialPairingKeyGen(threshold=250e3))
@@ -87,15 +94,69 @@ class TestQueryForQueryEquivalence:
     def test_fuzzy_extractor_scheme(self):
         self.check(lambda: FuzzyExtractorKeyGen(8, 16, out_bits=48))
 
-    def test_hardened_scheme_falls_back_row_wise(self):
-        # No vectorized evaluator: the generic fallback must still be
-        # stream-exact (single measurement per query).
-        keygen = HardenedGroupBasedKeyGen(
+    @staticmethod
+    def hardened_group(tolerance=0.5):
+        return lambda: HardenedGroupBasedKeyGen(
             rows=4, cols=10, max_polynomial_span=20e6,
-            group_threshold=120e3)
-        assert keygen.batch_evaluator(
-            ROArray(SMALL, rng=1),
-            keygen.enroll(ROArray(SMALL, rng=1), rng=2)[0]) is None
+            group_threshold=120e3, threshold_tolerance=tolerance)
+
+    def test_hardened_group_mixed_validity(self):
+        # Tolerance 0.5 rejects about a third of the honest readouts
+        # through the measured-threshold mask.
+        outcomes = self.check(self.hardened_group(), params=SMALL)
+        assert 0.5 < outcomes.mean() < 0.9
+
+    def test_hardened_group_mask_rejects_every_row(self):
+        array = ROArray(SMALL, rng=77)
+        keygen = self.hardened_group(1.0)()
+        helper, _ = keygen.enroll(array, rng=5)
+        assert isinstance(keygen.batch_evaluator(array, helper),
+                          ResponseBitEvaluator)
+        outcomes = self.check(self.hardened_group(1.0), params=SMALL)
+        assert not outcomes.any()
+
+    def test_hardened_group_rejected_at_build(self):
+        payload = symmetric_quadratic((2.0, 1.0), (5.0, 1.0), 4,
+                                      steepness=1e12)
+
+        def inject(helper):
+            return helper.with_distiller(
+                helper.distiller.with_added(payload))
+
+        array = ROArray(SMALL, rng=77)
+        keygen = self.hardened_group()()
+        helper, _ = keygen.enroll(array, rng=5)
+        assert isinstance(keygen.batch_evaluator(array, inject(helper)),
+                          ConstantEvaluator)
+        outcomes = self.check(self.hardened_group(), params=SMALL,
+                              manipulate=inject)
+        assert not outcomes.any()
+
+    def test_hardened_sequential_regimes(self):
+        def make():
+            return HardenedSequentialKeyGen(threshold=250e3)
+
+        outcomes = self.check(make)
+        assert 0.0 < outcomes.mean() < 1.0
+        for flips in (2, 4):
+            self.check(make, manipulate=lambda h, flips=flips:
+                       h.with_pairing(flip_orientations(
+                           h.pairing, list(range(1, 1 + flips)))))
+
+    def test_hardened_temp_aware_regimes(self):
+        from repro.core.injection import break_inversions
+
+        def make():
+            return HardenedTempAwareKeyGen(t_min=-10, t_max=80,
+                                           threshold=150e3,
+                                           sensor_seed=11)
+
+        assert self.check(make, params=THERMAL, queries=120).all()
+        outcomes = self.check(
+            make, params=THERMAL, queries=120,
+            manipulate=lambda h: h.with_scheme(
+                break_inversions(h.scheme, 45.0, 2)))
+        assert not outcomes.any()
 
     def test_scalar_and_block_queries_interleave(self):
         seq_array, batch_array, keygen, h_seq, h_batch, _ = \

@@ -1,5 +1,7 @@
 """Tests for the failure-rate distinguishing framework (paper Fig. 5)."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,11 @@ from repro.core.framework import (
     repair_with_commitment,
     select_hypothesis,
 )
-from repro.keygen.base import key_check_digest
+from repro.keygen.base import (
+    commitment_digest,
+    key_check_digest,
+    key_check_payload,
+)
 
 
 class FakeOracle:
@@ -126,3 +132,69 @@ class TestRepairWithCommitment:
         snapshot = damaged.copy()
         repair_with_commitment(damaged, commitment)
         np.testing.assert_array_equal(damaged, snapshot)
+
+
+def reference_repair(key, commitment, max_flips=2):
+    """The copy-and-rehash enumeration the in-place repair replaces.
+
+    Returns ``(repaired, candidates)``: the result and how many
+    flipped candidates were hashed before it.
+    """
+    key = np.asarray(key, dtype=np.uint8)
+    if key_check_digest(key) == commitment:
+        return key.copy(), 0
+    tried = 0
+    for weight in range(1, max_flips + 1):
+        for flips in combinations(range(key.shape[0]), weight):
+            candidate = key.copy()
+            candidate[list(flips)] ^= 1
+            tried += 1
+            if key_check_digest(candidate) == commitment:
+                return candidate, tried
+    return None, tried
+
+
+class TestInPlaceRepairMatchesReference:
+    """Same results, in the same enumeration order, as the reference."""
+
+    @pytest.mark.parametrize("length", [5, 13, 24, 61])
+    @pytest.mark.parametrize("weight", [0, 1, 2, 3])
+    def test_random_keys(self, monkeypatch, length, weight):
+        from repro.core import framework
+
+        gen = np.random.default_rng(1000 * length + weight)
+        hashed = []
+
+        def counting(payload):
+            hashed.append(bytes(payload))
+            return commitment_digest(payload)
+
+        monkeypatch.setattr(framework, "commitment_digest", counting)
+        for _ in range(4):
+            key = gen.integers(0, 2, length).astype(np.uint8)
+            commitment = key_check_digest(key)
+            damaged = key.copy()
+            damaged[gen.choice(length, weight, replace=False)] ^= 1
+            want, tried = reference_repair(damaged, commitment)
+            hashed.clear()
+            got = repair_with_commitment(damaged, commitment)
+            if weight <= 2:
+                np.testing.assert_array_equal(want, key)
+                np.testing.assert_array_equal(got, key)
+                assert got.dtype == np.uint8
+            else:
+                assert want is None and got is None
+            # One digest per candidate, in the reference's order: the
+            # last one hashed is the hit, or on a miss the final
+            # weight-2 candidate.
+            assert len(hashed) == tried
+            last = got
+            if got is None:
+                last = damaged.copy()
+                last[[-2, -1]] ^= 1
+            if tried:
+                assert hashed[-1] == key_check_payload(last)
+
+    def test_non_binary_key_still_rejected(self):
+        with pytest.raises(ValueError):
+            repair_with_commitment(np.array([0, 2, 1]), bytes(16))
