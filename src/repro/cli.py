@@ -345,6 +345,7 @@ def _cmd_fleet_attack(args: argparse.Namespace) -> int:
     from repro.fleet import (
         DistillerAttackFactory,
         GroupAttackFactory,
+        device_payload,
         sequential_attack_factory,
     )
 
@@ -368,20 +369,24 @@ def _cmd_fleet_attack(args: argparse.Namespace) -> int:
         fleet, enroll_rng = _fleet_build(args)
         enrollment = fleet.enroll(keygen_factory, seed=enroll_rng,
                                   workers=args.workers)
-        return fleet.attack_success(
+        results = fleet.attack_results(
             enrollment, attack_factory, workers=args.workers,
             batch=args.batch, supervision=supervision)
+        return [device_payload(result, key, helper)
+                for result, key, helper in zip(
+                    results, enrollment.keys, enrollment.helpers)]
 
     supervision = build_supervision(args)
     start = time.perf_counter()
-    recovered, queries = campaign(supervision)
+    payloads = campaign(supervision)
     elapsed = time.perf_counter() - start
+    recovered = sum(payload["recovered"] for payload in payloads)
+    queries = np.array([payload["queries"] for payload in payloads])
     print(f"fleet attack campaign: {args.attack} x {args.devices} "
           f"devices ({rows}x{cols}, seed {args.seed})")
     print(f"  engine              : lock-step campaign (fused "
           f"kernels, workers={args.workers})")
-    print(f"  keys recovered      : {int(recovered.sum())}/"
-          f"{args.devices}")
+    print(f"  keys recovered      : {recovered}/{args.devices}")
     print(f"  oracle queries      : {int(queries.sum())} total, "
           f"{queries.mean():.1f}/device")
     throughput = args.devices / elapsed if elapsed else 0.0
@@ -389,15 +394,13 @@ def _cmd_fleet_attack(args: argparse.Namespace) -> int:
           f"({throughput:.2f} devices/s)")
     report_supervision(args, supervision)
     if args.check_reproducible:
-        reference_recovered, reference_queries = campaign(None)
-        if not (np.array_equal(recovered, reference_recovered)
-                and np.array_equal(queries, reference_queries)):
+        if payloads != campaign(None):
             print("  reproducibility     : FAIL - campaign results "
                   "drifted from the fault-free reference run")
             return 1
         print("  reproducibility     : ok (bitwise-identical to "
               "the fault-free reference run)")
-    return 0 if recovered.all() else 1
+    return 0 if recovered == args.devices else 1
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:

@@ -1,8 +1,9 @@
 """Fleet simulation: population-scale Monte-Carlo over batched oracles.
 
 Manufactures many IC samples from one seed and sweeps reliability,
-entropy and attack-success statistics across the population with
-chunked, vectorized execution — optionally split across long-lived
+entropy and per-device attack results (``Fleet.attack_results``,
+judged by ``attack_recovered``) across the population with chunked,
+vectorized execution — optionally split across long-lived
 worker processes (``workers=N``) with bitwise worker-count-invariant
 results (see ``docs/fleet.md``).  Attack
 campaigns run through the round-based lock-step engine

@@ -1,7 +1,7 @@
 """Round-based lock-step execution of one attack across many devices.
 
 :class:`LockstepCampaign` is the one engine behind every fleet attack
-campaign (``Fleet.attack_success`` / ``attack_results``).  Every §VI
+campaign (``Fleet.attack_results``).  Every §VI
 attack runs as a stepwise generator (:mod:`repro.core.lockstep`); the
 campaign gathers the **frontier** — the pending request of every
 still-active device — each round and advances all of them together
@@ -27,7 +27,8 @@ and lands on the same bits.
 
 The module also holds the picklable per-family attack factories and
 :func:`attack_recovered`, the one "did the attack succeed?" predicate
-shared by fleet campaigns, the sharded service and the warehouse, and
+— recovery is a projection of a raw ``attack_results`` entry, shared
+by the fleet CLI, the sharded service and the warehouse — and
 :func:`device_payload`, the per-device outcome features the warehouse
 fingerprints and the service's single-host check compares.
 """
@@ -161,7 +162,7 @@ class _BoundSequentialAttack:
     ``steps()`` argument, but the campaign engine and the fleet drive
     attacks through the no-argument protocol.  This wrapper binds the
     method once so SPRT (and explicit paired) campaigns compose with
-    ``run_campaign`` and ``Fleet.attack_success`` unchanged.
+    ``run_campaign`` and ``Fleet.attack_results`` unchanged.
     """
 
     attack: SequentialPairingAttack

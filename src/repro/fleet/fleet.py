@@ -41,7 +41,7 @@ import numpy as np
 from repro._rng import RNGLike, ensure_rng, spawn
 from repro.analysis.entropy import bit_bias, inter_device_distances
 from repro.core.batch_oracle import BatchOracle
-from repro.fleet.campaign import attack_recovered, run_campaign
+from repro.fleet.campaign import run_campaign
 from repro.fleet.parallel import (
     resolve_workers,
     run_collected,
@@ -207,13 +207,6 @@ def _run_chunk_attacks(job: _AttackChunkJob) -> List[object]:
         oracles.append(oracle)
         attacks.append(job.attack_factory(oracle, keygen, helper))
     return run_campaign(oracles, attacks)
-
-
-def _attack_chunk_job(job: _AttackChunkJob) -> List[Tuple[bool, int]]:
-    """Run one chunk's attacks; ``(recovered, queries)`` per device."""
-    return [(attack_recovered(result, key, helper), int(result.queries))
-            for result, key, helper in zip(_run_chunk_attacks(job),
-                                           job.keys, job.helpers)]
 
 
 class Fleet:
@@ -478,100 +471,42 @@ class Fleet:
                                  supervision=supervision)
         return 1.0 - rates.reshape(len(temps), devices)
 
-    def attack_success(self, enrollment: FleetEnrollment,
-                       attack_factory: AttackFactory,
-                       op: OperatingPoint = OperatingPoint(),
-                       workers: Optional[int] = 1,
-                       batch: Optional[int] = None,
-                       trajectory=None,
-                       supervision=None
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Run a full helper-data attack against every device.
-
-        *attack_factory(oracle, keygen, helper)* builds an attack
-        driver exposing the stepwise ``steps()`` protocol; with
-        ``workers > 1`` it must be picklable (module-level).  Each
-        worker advances its whole device chunk through the lock-step
-        campaign engine (:mod:`repro.fleet.campaign`), one fused
-        oracle round per distinguisher block; per-device results are
-        **bitwise-identical** to driving each attack alone.  Returns
-        ``(recovered, queries)``: a boolean recovery mask (judged by
-        :func:`~repro.fleet.campaign.attack_recovered`) and the
-        per-device ``int64`` oracle query bill.
-
-        Parameters
-        ----------
-        batch:
-            Devices per lock-step chunk (and per worker dispatch).
-            Defaults to an even split over the resolved worker count,
-            i.e. the widest batch the workers allow.  Lock-step within a
-            worker composes with processes across chunks.
-        trajectory:
-            Optional
-            :class:`~repro.scenario.trajectory.TrajectorySpec`: the
-            attacked devices live under per-device environment
-            trajectories (built parent-side, in fleet order).
-            Attack queries without an explicit operating point see
-            the trajectory ambient; explicitly-set points (attacker
-            chamber control, e.g. the temp-aware attack) override
-            it, aging drift excepted.
-        supervision:
-            Optional :class:`repro.fleet.resilience.Supervisor`: the
-            campaign runs under the fault-tolerant executor with
-            chunk-level retry of each :class:`_AttackChunkJob`; the
-            per-device results contract is unchanged.
-        """
-        count = len(self._arrays)
-        spans = None
-        if batch is not None:
-            width = int(batch)
-            if width < 1:
-                raise ValueError("batch must be a positive integer")
-            spans = [(begin, min(begin + width, count))
-                     for begin in range(0, count, width)]
-        jobs = self.attack_chunk_jobs(enrollment, attack_factory,
-                                      spans=spans, op=op,
-                                      trajectory=trajectory,
-                                      workers=workers)
-        reports = run_collected(_attack_chunk_job, jobs,
-                                workers=workers, shared=self._arrays,
-                                supervision=supervision)
-        flat = [entry for report in reports for entry in report]
-        recovered = np.array([entry[0] for entry in flat],
-                             dtype=np.bool_)
-        queries = np.array([entry[1] for entry in flat],
-                           dtype=np.int64)
-        return recovered, queries
-
     def attack_chunk_jobs(self, enrollment: FleetEnrollment,
                           attack_factory: AttackFactory,
                           spans: Optional[Sequence[Tuple[int, int]]]
                           = None,
                           op: OperatingPoint = OperatingPoint(),
                           trajectory=None,
-                          workers: Optional[int] = 1
+                          workers: Optional[int] = 1,
+                          batch: Optional[int] = None
                           ) -> List[_AttackChunkJob]:
         """Build the chunked job list of an attack campaign.
 
         This is the shard-aware entry point behind
-        :meth:`attack_success` / :meth:`attack_results`: it derives
-        the sweep substreams (advancing the population root exactly as
-        a direct campaign would) and returns one self-contained,
-        picklable :class:`_AttackChunkJob` per *span* — a ``(start,
-        stop)`` device range in fleet order.  *spans* default to one
-        even chunk per resolved worker; pass explicit contiguous
-        ranges (e.g. a :class:`repro.service.ShardPlan`'s) to re-chunk
-        the campaign.  Per-device results are bitwise-invariant to the
-        chunking, so any span partition merges to the same outcome.
+        :meth:`attack_results`: it derives the sweep substreams
+        (advancing the population root exactly as a direct campaign
+        would) and returns one self-contained, picklable
+        :class:`_AttackChunkJob` per *span* — a ``(start, stop)``
+        device range in fleet order.  Without explicit *spans* the
+        fleet is cut into contiguous chunks of *batch* devices, or,
+        when *batch* is ``None``, into one even chunk per resolved
+        worker.  Pass explicit contiguous ranges (e.g. a
+        :class:`repro.service.ShardPlan`'s) to re-chunk the campaign.
+        Per-device results are bitwise-invariant to the chunking, so
+        any span partition merges to the same outcome.
         """
         count = len(self._arrays)
-        streams = self._sweep_streams()
-        trajectories = self._build_trajectories(trajectory)
         if spans is None:
-            chunks = resolve_workers(workers, count)
-            width = -(-count // chunks)
+            if batch is None:
+                width = -(-count // resolve_workers(workers, count))
+            else:
+                width = int(batch)
+                if width < 1:
+                    raise ValueError("batch must be a positive integer")
             spans = [(begin, min(begin + width, count))
                      for begin in range(0, count, width)]
+        streams = self._sweep_streams()
+        trajectories = self._build_trajectories(trajectory)
         jobs = []
         for start, stop in spans:
             if not 0 <= start < stop <= count:
@@ -595,29 +530,61 @@ class Fleet:
                        op: OperatingPoint = OperatingPoint(),
                        trajectory=None,
                        workers: Optional[int] = 1,
+                       batch: Optional[int] = None,
                        supervision=None) -> List[object]:
-        """Run a full attack per device; return the raw result objects.
+        """Run a full helper-data attack against every device.
 
-        Companion to :meth:`attack_success` for callers that need
-        every attack's complete result — relations, comparer
-        decisions, recovered keys — rather than the summary mask (the
-        results warehouse fingerprints per-device decisions from
-        these).  It follows the same sweep-stream discipline (one
-        ``(noise, transient)`` substream pair per device, derived
-        before any execution), so a device's result is
-        bitwise-identical to what the matching :meth:`attack_success`
-        call observes — whatever *workers* is, and whether or not a
-        supervised run had to retry chunks.
+        *attack_factory(oracle, keygen, helper)* builds an attack
+        driver exposing the stepwise ``steps()`` protocol; with
+        ``workers > 1`` it must be picklable (module-level).  Each
+        chunk of devices advances through the lock-step campaign
+        engine (:mod:`repro.fleet.campaign`) together, one fused
+        oracle round per distinguisher block.  Returns one raw result
+        object per device, in fleet order — relations, comparer
+        decisions, recovered key and the ``queries`` bill.  Whether a
+        device's key was recovered is the pure projection
+        :func:`~repro.fleet.campaign.attack_recovered` of its result,
+        enrolled key and helper.
 
-        *trajectory* / *supervision* mean what they mean on
-        :meth:`attack_success`.  The default ``workers=1`` without
-        supervision runs the whole fleet as one chunk in this process
-        (no payload copies); otherwise chunks dispatch to worker
-        processes, and result objects must be picklable.
+        Every device draws one ``(noise, transient)`` sweep substream
+        pair derived before any execution, so its result is
+        **bitwise-identical** to driving its attack alone, whatever
+        *workers* and *batch* are and whether or not a supervised run
+        had to retry chunks.
+
+        Parameters
+        ----------
+        workers:
+            Worker processes; ``None``/``0`` uses every CPU.
+        batch:
+            Devices per lock-step chunk (and per worker dispatch).
+            Defaults to an even split over the resolved worker count,
+            i.e. the widest batch the workers allow.  Lock-step within
+            a chunk composes with processes across chunks.
+        trajectory:
+            Optional
+            :class:`~repro.scenario.trajectory.TrajectorySpec`: the
+            attacked devices live under per-device environment
+            trajectories (built parent-side, in fleet order).
+            Attack queries without an explicit operating point see
+            the trajectory ambient; explicitly-set points (attacker
+            chamber control, e.g. the temp-aware attack) override
+            it, aging drift excepted.
+        supervision:
+            Optional :class:`repro.fleet.resilience.Supervisor`: the
+            campaign runs under the fault-tolerant executor with
+            chunk-level retry of each :class:`_AttackChunkJob`; the
+            per-device results contract is unchanged.
+
+        A campaign that forms a single chunk without supervision runs
+        in this process on the enrollment itself (no payload copies);
+        otherwise chunks run against payload copies, in worker
+        processes when ``workers > 1``, and result objects must then
+        be picklable.
         """
         jobs = self.attack_chunk_jobs(enrollment, attack_factory,
                                       op=op, trajectory=trajectory,
-                                      workers=workers)
+                                      workers=workers, batch=batch)
         if len(jobs) == 1 and supervision is None:
             return _run_chunk_attacks(jobs[0])
         reports = run_collected(_run_chunk_attacks, jobs,

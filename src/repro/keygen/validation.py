@@ -68,12 +68,17 @@ def _layout_coordinates(rows: int, cols: int
 
 def _check_surface_span(helper: DistillerHelper, xs: np.ndarray,
                         ys: np.ndarray, max_span: float) -> None:
-    """The amplitude bound over precomputed layout coordinates."""
-    values = helper.polynomial(xs, ys)
-    span = float(values.max() - values.min())
-    if span > max_span:
+    """The amplitude bound over precomputed layout coordinates.
+
+    A non-finite coefficient makes the span ``inf`` or NaN; both are
+    rejected, so the comparison is written to fail on NaN.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = helper.polynomial(xs, ys)
+        span = float(values.max() - values.min())
+    if not span <= max_span:
         raise HelperDataRejected(
-            f"distiller surface spans {span:.3e} Hz, exceeding the "
+            f"distiller surface spans {span:.3e} Hz, outside the "
             f"plausibility bound {max_span:.3e} Hz")
 
 

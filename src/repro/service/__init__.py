@@ -35,14 +35,12 @@ from repro.service.registry import (
     enroll_population,
 )
 from repro.service.shard import (
-    KIND_ATTACK,
     KIND_ATTACK_RESULTS,
     KIND_FAILURE,
     KINDS,
     ShardPlan,
     ShardSpec,
     execute_shard,
-    merge_attack,
     merge_attack_results,
     merge_failure_rates,
     shard_digest,
@@ -57,7 +55,6 @@ from repro.service.stream import (
 __all__ = [
     "Dispatcher",
     "EnrollmentRegistry",
-    "KIND_ATTACK",
     "KIND_ATTACK_RESULTS",
     "KIND_FAILURE",
     "KINDS",
@@ -71,7 +68,6 @@ __all__ = [
     "WorkerHandshakeError",
     "enroll_population",
     "execute_shard",
-    "merge_attack",
     "merge_attack_results",
     "merge_failure_rates",
     "shard_digest",

@@ -6,7 +6,7 @@ Wires the distributed campaign service into the top-level CLI::
                          [--seed N] [--rows R --cols C]
                          [--sigma-noise HZ] [--workers W]
     repro service sweep (--registry DIR | --scheme S ...)
-                        [--kind failure|attack|attack-results]
+                        [--kind failure|attack-results]
                         [--trials N] [--shards K] [--workers W]
                         [--transport pipe|tcp] [--stream]
                         [--check-single-host] [--max-retries N]
@@ -40,6 +40,7 @@ from repro.fleet import (
     GroupAttackFactory,
     SequentialAttackFactory,
     TempAwareAttackFactory,
+    attack_recovered,
     device_payload,
 )
 from repro.fleet.resilience import PoisonedSweepError, RetryPolicy
@@ -57,11 +58,7 @@ from repro.service.registry import (
     RegistryError,
     enroll_population,
 )
-from repro.service.shard import (
-    KIND_ATTACK,
-    KIND_ATTACK_RESULTS,
-    KIND_FAILURE,
-)
+from repro.service.shard import KIND_ATTACK_RESULTS, KIND_FAILURE
 from repro.service.stream import PopulationSpec, submit_sweep
 
 #: Per-scheme service defaults: (rows, cols, sigma_noise).  Geometry
@@ -79,7 +76,6 @@ SCHEMES = tuple(SCHEME_DEFAULTS)
 
 _KIND_BY_LABEL = {
     "failure": KIND_FAILURE,
-    "attack": KIND_ATTACK,
     "attack-results": KIND_ATTACK_RESULTS,
 }
 
@@ -293,7 +289,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     report = handle.report
     if report is not None:
         print(f"  resilience: {report.summary()}")
-    _print_merged(kind, merged)
+    _print_merged(kind, merged, handle.enrollment)
 
     if args.check_single_host:
         fleet, enroll_rng = population.build()
@@ -301,10 +297,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if kind == KIND_FAILURE:
             expect = fleet.failure_rates(enrollment, args.trials)
             matches = np.array_equal(merged, expect)
-        elif kind == KIND_ATTACK:
-            expect = fleet.attack_success(enrollment, attack_factory)
-            matches = (np.array_equal(merged[0], expect[0])
-                       and np.array_equal(merged[1], expect[1]))
         else:
             expect = fleet.attack_results(enrollment, attack_factory)
             matches = len(merged) == len(expect) and all(
@@ -320,15 +312,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_merged(kind: str, merged) -> None:
-    """Human-readable summary of the merged sweep result."""
+def _print_merged(kind: str, merged, enrollment) -> None:
+    """Human-readable summary of the merged sweep result.
+
+    Recovery and the query bill of an attack sweep are projections of
+    the merged per-device results; a poisoned shard's devices (``None``
+    under ``--allow-partial``) count as not recovered, with no queries.
+    """
     if kind == KIND_FAILURE:
         rates = np.asarray(merged)
         print(f"  failure rates: mean={rates.mean():.6g} "
               f"max={rates.max():.6g} over {rates.size} device(s)")
-    elif kind == KIND_ATTACK:
-        recovered, queries = merged
-        print(f"  attack: {int(recovered.sum())}/{recovered.size} "
-              f"keys recovered, {int(queries.sum())} oracle queries")
-    else:
-        print(f"  attack results: {len(merged)} device record(s)")
+        return
+    recovered = sum(
+        result is not None and attack_recovered(result, key, helper)
+        for result, key, helper in zip(merged, enrollment.keys,
+                                       enrollment.helpers))
+    queries = sum(int(result.queries) for result in merged
+                  if result is not None)
+    print(f"  attack: {recovered}/{len(merged)} keys recovered, "
+          f"{queries} oracle queries")

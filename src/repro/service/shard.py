@@ -25,18 +25,13 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.ecc.kernel import kernel_stats
-from repro.fleet.fleet import (
-    _attack_chunk_job,
-    _failure_rate_job,
-    _run_chunk_attacks,
-)
+from repro.fleet.fleet import _failure_rate_job, _run_chunk_attacks
 from repro.fleet.parallel import chunk_indices
 
 #: Sweep kinds the service can shard.
 KIND_FAILURE = "failure-rates"
-KIND_ATTACK = "attack-success"
 KIND_ATTACK_RESULTS = "attack-results"
-KINDS = (KIND_FAILURE, KIND_ATTACK, KIND_ATTACK_RESULTS)
+KINDS = (KIND_FAILURE, KIND_ATTACK_RESULTS)
 
 
 def shard_digest(population_seed: int, index: int, start: int,
@@ -134,11 +129,12 @@ def execute_shard(kind: str, jobs: Sequence[object],
 
     For :data:`KIND_FAILURE` *jobs* is the shard's slice of the
     per-device :meth:`~repro.fleet.Fleet.failure_rate_jobs` list; for
-    the attack kinds it is a single-element list holding the shard's
-    :meth:`~repro.fleet.Fleet.attack_chunk_jobs` chunk.  The payload
-    carries the wall-clock seconds and the ECC kernel-stats delta of
-    the execution.  *tripwire* (a fault-injection item tripwire) is
-    stepped after each completed job.
+    :data:`KIND_ATTACK_RESULTS` it is a single-element list holding
+    the shard's :meth:`~repro.fleet.Fleet.attack_chunk_jobs` chunk.
+    The payload carries the wall-clock seconds and the ECC
+    kernel-stats delta of the execution.  *tripwire* (a
+    fault-injection item tripwire) is stepped after each completed
+    job.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}; expected one "
@@ -154,16 +150,6 @@ def execute_shard(kind: str, jobs: Sequence[object],
                 tripwire.step()
         data: Dict[str, object] = {
             "rates": np.array(rates, dtype=np.float64)}
-    elif kind == KIND_ATTACK:
-        (job,) = jobs
-        report = _attack_chunk_job(job)
-        if tripwire is not None:
-            tripwire.step()
-        data = {
-            "recovered": np.array([entry[0] for entry in report],
-                                  dtype=np.bool_),
-            "queries": np.array([entry[1] for entry in report],
-                                dtype=np.int64)}
     else:
         (job,) = jobs
         results = _run_chunk_attacks(job)
@@ -200,29 +186,6 @@ def merge_failure_rates(plan: ShardPlan,
         else:
             parts.append(np.asarray(data["rates"], dtype=np.float64))
     return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def merge_attack(plan: ShardPlan, datas: Sequence[object]
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-shard attack outcomes into fleet-order arrays.
-
-    Returns the ``(recovered, queries)`` pair with the exact dtypes of
-    :meth:`repro.fleet.Fleet.attack_success`.
-    """
-    recovered, queries = [], []
-    for spec, data in zip(plan.shards, datas):
-        if data is None:
-            recovered.append(np.zeros(spec.devices, dtype=np.bool_))
-            queries.append(np.zeros(spec.devices, dtype=np.int64))
-        else:
-            recovered.append(np.asarray(data["recovered"],
-                                        dtype=np.bool_))
-            queries.append(np.asarray(data["queries"],
-                                      dtype=np.int64))
-    if not recovered:
-        return (np.zeros(0, dtype=np.bool_),
-                np.zeros(0, dtype=np.int64))
-    return np.concatenate(recovered), np.concatenate(queries)
 
 
 def merge_attack_results(plan: ShardPlan,

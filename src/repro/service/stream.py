@@ -12,9 +12,11 @@ results are yielded in **completion order** — out-of-order by design.
 result shapes: the contract (pinned by ``tests/service/``) is that
 ``collect()`` is bitwise-equal to the matching
 :meth:`repro.fleet.Fleet.failure_rates` /
-:meth:`~repro.fleet.Fleet.attack_success` /
 :meth:`~repro.fleet.Fleet.attack_results` call on a same-seed fleet,
-for every shard count, worker count and transport.
+for every shard count, worker count and transport.  Key recovery and
+query bills of an attack sweep are projections of the merged results
+(:func:`repro.fleet.campaign.attack_recovered` and each result's
+``queries``).
 """
 
 from __future__ import annotations
@@ -34,12 +36,10 @@ from repro.keygen.base import OperatingPoint
 from repro.puf.parameters import ROArrayParams
 from repro.service.dispatcher import Dispatcher
 from repro.service.shard import (
-    KIND_ATTACK,
     KIND_FAILURE,
     KINDS,
     ShardPlan,
     ShardSpec,
-    merge_attack,
     merge_attack_results,
     merge_failure_rates,
 )
@@ -75,11 +75,10 @@ class PopulationSpec:
 class ShardResult:
     """One shard's completed contribution to a streamed sweep.
 
-    ``data`` is the kind-typed payload (``rates`` /
-    ``recovered``+``queries`` / ``results``), or ``None`` for a
-    poisoned shard under an ``allow_partial`` policy.  ``kernel`` is
-    the ECC kernel-stats delta measured around the shard's execution
-    in whatever process ran it.
+    ``data`` is the kind-typed payload (``rates`` / ``results``), or
+    ``None`` for a poisoned shard under an ``allow_partial`` policy.
+    ``kernel`` is the ECC kernel-stats delta measured around the
+    shard's execution in whatever process ran it.
     """
 
     shard: ShardSpec
@@ -116,14 +115,12 @@ class ShardResult:
         if self.kind == KIND_FAILURE:
             payload["rates"] = [float(rate)
                                 for rate in self.data["rates"]]
-        elif self.kind == KIND_ATTACK:
-            payload["recovered"] = [bool(hit) for hit
-                                    in self.data["recovered"]]
-            payload["queries"] = [int(bill) for bill
-                                  in self.data["queries"]]
         else:
+            results = self.data["results"]
             payload["results"] = [type(result).__name__
-                                  for result in self.data["results"]]
+                                  for result in results]
+            payload["queries"] = [int(result.queries)
+                                  for result in results]
         return payload
 
 
@@ -219,9 +216,6 @@ class SweepHandle:
         * :data:`~repro.service.shard.KIND_FAILURE` → the
           ``(devices,)`` float64 vector of
           :meth:`repro.fleet.Fleet.failure_rates`;
-        * :data:`~repro.service.shard.KIND_ATTACK` → the
-          ``(recovered, queries)`` pair of
-          :meth:`~repro.fleet.Fleet.attack_success`;
         * :data:`~repro.service.shard.KIND_ATTACK_RESULTS` → the raw
           result list of :meth:`~repro.fleet.Fleet.attack_results`.
 
@@ -235,8 +229,6 @@ class SweepHandle:
                 by_shard[result.shard.index] = result.data
         if self.kind == KIND_FAILURE:
             return merge_failure_rates(self.plan, by_shard)
-        if self.kind == KIND_ATTACK:
-            return merge_attack(self.plan, by_shard)
         return merge_attack_results(self.plan, by_shard)
 
 
@@ -267,7 +259,7 @@ def submit_sweep(population: PopulationSpec,
     single-host ``Fleet`` sweep.
 
     *trials* is required for failure-rate sweeps; *attack_factory*
-    (a picklable module-level callable) for the attack kinds.  The
+    (a picklable module-level callable) for attack sweeps.  The
     remaining knobs mirror the ``Fleet`` sweep methods; *workers*,
     *transport* and *policy* mirror the
     :class:`~repro.service.dispatcher.Dispatcher`.

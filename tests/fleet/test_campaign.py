@@ -32,6 +32,7 @@ from repro.fleet import (
     Supervisor,
     TempAwareAttackFactory,
     attack_recovered,
+    device_payload,
     run_campaign,
     sequential_attack_factory,
 )
@@ -43,7 +44,7 @@ from repro.keygen import (
 )
 from repro.puf import FIG6_PARAMS, ROArray, ROArrayParams
 from repro.service import PopulationSpec, submit_sweep
-from repro.service.shard import KIND_ATTACK, KIND_ATTACK_RESULTS
+from repro.service.shard import KIND_ATTACK_RESULTS
 
 # Small geometries keep the scalar reference loops cheap; the engine
 # paths exercised are identical to the full-size arrays'.
@@ -72,6 +73,14 @@ def per_device_reference(fleet, enrollment, attack_factory):
         oracle = BatchOracle(array, keygen, rng=stream)
         results.append(attack_factory(oracle, keygen, helper).run())
     return results
+
+
+def payloads(results, enrollment):
+    """Per-device ``device_payload`` projection of a campaign: the
+    recovery verdict, query bill, decisions and recovered secrets."""
+    return [device_payload(result, key, helper)
+            for result, key, helper in zip(results, enrollment.keys,
+                                           enrollment.helpers)]
 
 
 def assert_same_results(reference, observed):
@@ -269,7 +278,7 @@ class TestCampaignEquivalence:
 
 
 class TestFleetLockstep:
-    """attack_success: family x batch x workers invariance."""
+    """attack_results: family x batch x workers invariance."""
 
     @staticmethod
     def fresh(temp_aware):
@@ -290,35 +299,49 @@ class TestFleetLockstep:
         references = {}
         for temp_aware in (True, False):
             fleet, enrollment, factory = self.fresh(temp_aware)
-            results = per_device_reference(fleet, enrollment, factory)
-            recovered = [attack_recovered(result, key, helper)
-                         for result, key, helper in zip(
-                             results, enrollment.keys,
-                             enrollment.helpers)]
-            references[temp_aware] = (
-                np.array(recovered),
-                np.array([result.queries for result in results]))
+            references[temp_aware] = payloads(per_device_reference(
+                fleet, enrollment, factory), enrollment)
         return references
 
     @pytest.mark.parametrize("temp_aware", [True, False])
-    @pytest.mark.parametrize("batch", [1, 3, 8])
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 3, 8, None])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_lockstep_invariance(self, reference, batch, workers,
                                  temp_aware):
         # The fused lock-step campaign must reproduce the per-device
         # run() reference for every batch composition and worker count,
         # for the sequential and the temperature-aware attack alike.
         fleet, enrollment, factory = self.fresh(temp_aware)
-        recovered, queries = fleet.attack_success(
-            enrollment, factory, workers=workers, batch=batch)
-        np.testing.assert_array_equal(recovered, reference[temp_aware][0])
-        np.testing.assert_array_equal(queries, reference[temp_aware][1])
+        observed = payloads(fleet.attack_results(
+            enrollment, factory, workers=workers, batch=batch),
+            enrollment)
+        assert observed == reference[temp_aware]
+        recovered = [payload["recovered"] for payload in observed]
         if temp_aware:
             # The §VI-B attack misses the odd device statistically
             # (one of these eight).
-            assert recovered.any()
+            assert any(recovered)
         else:
-            assert recovered.all()
+            assert all(recovered)
+
+    def test_consecutive_inprocess_sweeps_match_workers(self):
+        # A single-chunk workers=1 campaign runs on the enrollment
+        # itself, without payload copies.  A second sweep on the same
+        # enrollment must still equal the copied workers=2 path.
+        for temp_aware in (True, False):
+            sweeps = {}
+            for workers in (1, 2):
+                fleet, enrollment, factory = self.fresh(temp_aware)
+                sweeps[workers] = [
+                    payloads(fleet.attack_results(
+                        enrollment, factory, workers=workers),
+                        enrollment)
+                    for _ in range(2)]
+            assert sweeps[1] == sweeps[2]
+            if temp_aware:
+                # The second sweep draws fresh noise and sensor reads
+                # (the sequential bills here are noise-insensitive).
+                assert sweeps[1][0] != sweeps[1][1]
 
     def test_temp_aware_results_match_per_device_reference(self):
         # Supervised and 2-shard service campaigns reproduce each
@@ -345,16 +368,16 @@ class TestFleetLockstep:
                     for result, key, helper in zip(
                         results, enrollment.keys, enrollment.helpers)]
         assert any(expected)
-        fleet, enrollment, factory = self.fresh(True)
-        recovered, queries = fleet.attack_success(enrollment, factory)
-        assert recovered.tolist() == expected
-        assert queries.tolist() == [result.queries for result in results]
+        observed = payloads(results, enrollment)
+        assert [payload["recovered"] for payload in observed] == \
+            expected
+        assert [payload["queries"] for payload in observed] == \
+            [result.queries for result in results]
         handle = submit_sweep(TEMP_POPULATION, temp_aware_factory,
-                              KIND_ATTACK, attack_factory=factory,
-                              shards=2, workers=2)
-        merged_recovered, merged_queries = handle.collect()
-        assert merged_recovered.tolist() == expected
-        np.testing.assert_array_equal(merged_queries, queries)
+                              KIND_ATTACK_RESULTS,
+                              attack_factory=factory, shards=2,
+                              workers=2)
+        assert payloads(handle.collect(), enrollment) == observed
 
     def test_run_only_driver_rejected(self):
         # Every fleet campaign runs lock-step: a driver without the
@@ -373,21 +396,22 @@ class TestFleetLockstep:
         fleet = Fleet(PARAMS, size=2, seed=33)
         enrollment = fleet.enroll(sequential_factory, seed=8)
         with pytest.raises(TypeError, match="steps"):
-            fleet.attack_success(enrollment, factory)
+            fleet.attack_results(enrollment, factory)
 
     def test_group_attack_factory_through_fleet(self):
         fleet = Fleet(FIG6_PARAMS, size=2, seed=34)
         enrollment = fleet.enroll(
             functools.partial(GroupBasedKeyGen, distiller_degree=2,
                               group_threshold=120e3), seed=9)
-        recovered, queries = fleet.attack_success(
-            enrollment, GroupAttackFactory(4, 10), workers=2)
-        assert recovered.all()
-        assert (queries > 0).all()
+        observed = payloads(fleet.attack_results(
+            enrollment, GroupAttackFactory(4, 10), workers=2),
+            enrollment)
+        assert all(payload["recovered"] for payload in observed)
+        assert all(payload["queries"] > 0 for payload in observed)
 
     def test_invalid_batch_rejected(self):
         fleet = Fleet(PARAMS, size=2, seed=35)
         enrollment = fleet.enroll(sequential_factory, seed=1)
         with pytest.raises(ValueError):
-            fleet.attack_success(enrollment,
+            fleet.attack_results(enrollment,
                                  sequential_attack_factory, batch=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SequentialPairingAttack
-from repro.fleet import Fleet
+from repro.fleet import Fleet, attack_recovered
 from repro.keygen import SequentialPairingKeyGen, bch_provider
 from repro.puf import ROArray, ROArrayParams
 
@@ -129,6 +129,8 @@ class TestAttackCampaign:
         def factory(oracle, keygen, helper):
             return SequentialPairingAttack(oracle, keygen, helper)
 
-        recovered, queries = fleet.attack_success(enrollment, factory)
-        assert recovered.all()
-        assert (queries > 0).all()
+        results = fleet.attack_results(enrollment, factory)
+        for result, key, helper in zip(results, enrollment.keys,
+                                       enrollment.helpers):
+            assert attack_recovered(result, key, helper)
+            assert result.queries > 0

@@ -16,7 +16,12 @@ import pytest
 
 from repro.core import BatchOracle, SequentialPairingAttack
 from repro.core.injection import flip_orientations
-from repro.fleet import Fleet, chunk_indices, resolve_workers
+from repro.fleet import (
+    Fleet,
+    chunk_indices,
+    device_payload,
+    resolve_workers,
+)
 from repro.keygen import SequentialPairingKeyGen, TempAwareKeyGen
 from repro.puf import ROArray, ROArrayParams
 
@@ -52,6 +57,13 @@ def fresh_fleet(size=4, seed=4242):
     fleet = Fleet(PARAMS, size=size, seed=seed)
     enrollment = fleet.enroll(sequential_factory, seed=7)
     return fleet, enrollment
+
+
+def payloads(results, enrollment):
+    """Per-device ``device_payload`` projection of a campaign."""
+    return [device_payload(result, key, helper)
+            for result, key, helper in zip(results, enrollment.keys,
+                                           enrollment.helpers)]
 
 
 def digest(array):
@@ -95,13 +107,11 @@ class TestWorkerCountInvariance:
         outcomes = []
         for workers in (1, 2):
             fleet, enrollment = fresh_fleet(size=3, seed=21)
-            outcomes.append(fleet.attack_success(
-                enrollment, attack_factory, workers=workers))
-        recovered_seq, queries_seq = outcomes[0]
-        recovered_par, queries_par = outcomes[1]
-        np.testing.assert_array_equal(recovered_seq, recovered_par)
-        np.testing.assert_array_equal(queries_seq, queries_par)
-        assert recovered_seq.all()
+            outcomes.append(payloads(fleet.attack_results(
+                enrollment, attack_factory, workers=workers),
+                enrollment))
+        assert outcomes[0] == outcomes[1]
+        assert all(payload["recovered"] for payload in outcomes[0])
 
     def test_enrollment_across_workers(self):
         keys = []
@@ -282,11 +292,11 @@ class TestTwoPhasePickling:
         outcomes = []
         for workers in (1, 2):
             fleet, enrollment = fresh_fleet(size=4, seed=23)
-            outcomes.append(fleet.attack_success(
-                enrollment, attack_factory, workers=workers))
-        np.testing.assert_array_equal(outcomes[0][0], outcomes[1][0])
-        np.testing.assert_array_equal(outcomes[0][1], outcomes[1][1])
-        assert outcomes[0][0].all()
+            outcomes.append(payloads(fleet.attack_results(
+                enrollment, attack_factory, workers=workers),
+                enrollment))
+        assert outcomes[0] == outcomes[1]
+        assert all(payload["recovered"] for payload in outcomes[0])
 
 
 class TestPoolPlumbing:
@@ -310,9 +320,10 @@ class TestPoolPlumbing:
         # Lambdas cannot cross the process boundary; in-process sweeps
         # keep accepting them.
         fleet, enrollment = fresh_fleet(size=2, seed=21)
-        recovered, _ = fleet.attack_success(
+        results = fleet.attack_results(
             enrollment,
             lambda oracle, keygen, helper: SequentialPairingAttack(
                 oracle, keygen, helper),
             workers=1)
-        assert recovered.all()
+        assert all(payload["recovered"]
+                   for payload in payloads(results, enrollment))

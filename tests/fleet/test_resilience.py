@@ -28,6 +28,7 @@ from repro.fleet import (
     PoisonedSweepError,
     RetryPolicy,
     Supervisor,
+    device_payload,
     faultinject,
 )
 from repro.fleet.parallel import (
@@ -73,6 +74,15 @@ def fresh_fleet(size=4, seed=4242):
     fleet = Fleet(PARAMS, size=size, seed=seed)
     enrollment = fleet.enroll(sequential_factory, seed=7)
     return fleet, enrollment
+
+
+def campaign_payloads(fleet, enrollment, **kwargs):
+    """Per-device ``device_payload`` projection of one campaign."""
+    results = fleet.attack_results(enrollment, attack_factory,
+                                   **kwargs)
+    return [device_payload(result, key, helper)
+            for result, key, helper in zip(results, enrollment.keys,
+                                           enrollment.helpers)]
 
 
 def policy_for(mode, retries, **kwargs):
@@ -126,8 +136,7 @@ def sweep_reference():
 def campaign_reference():
     fleet, enrollment = fresh_fleet()
     with faultinject.activated(None):
-        return fleet.attack_success(enrollment, attack_factory,
-                                    workers=1)
+        return campaign_payloads(fleet, enrollment, workers=1)
 
 
 class TestRetryEquivalenceMatrix:
@@ -172,12 +181,10 @@ class TestRetryEquivalenceMatrix:
         supervisor = Supervisor(policy_for(mode, 1))
         fleet, enrollment = fresh_fleet()
         with faultinject.activated(plan):
-            recovered, queries = fleet.attack_success(
-                enrollment, attack_factory, workers=workers,
-                supervision=supervisor)
-        np.testing.assert_array_equal(recovered,
-                                      campaign_reference[0])
-        np.testing.assert_array_equal(queries, campaign_reference[1])
+            observed = campaign_payloads(fleet, enrollment,
+                                         workers=workers,
+                                         supervision=supervisor)
+        assert observed == campaign_reference
         report = supervisor.last_report
         assert report.verdict == "recovered"
         assert report.failures[0].kind == KIND_FOR_MODE[mode]
@@ -190,12 +197,9 @@ class TestRetryEquivalenceMatrix:
         supervisor = Supervisor(policy_for("crash", 1))
         fleet, enrollment = fresh_fleet()
         with faultinject.activated(plan):
-            recovered, queries = fleet.attack_success(
-                enrollment, attack_factory, workers=2,
-                supervision=supervisor)
-        np.testing.assert_array_equal(recovered,
-                                      campaign_reference[0])
-        np.testing.assert_array_equal(queries, campaign_reference[1])
+            observed = campaign_payloads(fleet, enrollment, workers=2,
+                                         supervision=supervisor)
+        assert observed == campaign_reference
         assert supervisor.last_report.verdict == "degraded"
 
     def test_multi_chunk_fault_mix(self, sweep_reference):

@@ -1,10 +1,13 @@
 """Tests for device-side helper-data validation (hardening)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import BatchOracle, HelperDataOracle, symmetric_quadratic
 from repro.core.group_attack import GroupBasedAttack
+from repro.distiller import DistillerHelper
 from repro.keygen import (
     GroupBasedKeyGen,
     HardenedGroupBasedKeyGen,
@@ -45,6 +48,54 @@ class TestDistillerAmplitudeCheck:
             validate_distiller_amplitude(
                 helper.distiller.with_added(payload), 4, 10,
                 max_span=20e6)
+
+
+NON_FINITE = [np.inf, -np.inf, np.nan]
+
+
+def with_coefficient(distiller_helper, value):
+    """The distiller helper with its constant coefficient replaced."""
+    coefficients = distiller_helper.coefficients.copy()
+    coefficients[0] = value
+    return DistillerHelper(distiller_helper.degree, coefficients)
+
+
+class TestNonFiniteDistillerCoefficient:
+    """An inf/NaN coefficient makes the surface span non-finite; the
+    amplitude bound must reject it, not compare false against NaN."""
+
+    @pytest.fixture
+    def enrolled(self, small_array):
+        keygen = HardenedGroupBasedKeyGen(
+            rows=4, cols=10, max_polynomial_span=20e6,
+            group_threshold=120e3)
+        helper, _ = keygen.enroll(small_array, rng=2)
+        return keygen, helper
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_validator_rejects(self, enrolled, value):
+        _, helper = enrolled
+        with pytest.raises(HelperDataRejected):
+            validate_distiller_amplitude(
+                with_coefficient(helper.distiller, value), 4, 10, 1e6)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_scalar_device_rejects(self, enrolled, small_array, value):
+        keygen, helper = enrolled
+        bad = dataclasses.replace(
+            helper, distiller=with_coefficient(helper.distiller, value))
+        with pytest.raises(HelperDataRejected, match="surface spans"):
+            keygen.reconstruct(small_array, bad)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_batch_path_rejects(self, enrolled, small_array, value):
+        keygen, helper = enrolled
+        bad = dataclasses.replace(
+            helper, distiller=with_coefficient(helper.distiller, value))
+        assert isinstance(keygen.batch_evaluator(small_array, bad),
+                          ConstantEvaluator)
+        oracle = BatchOracle(small_array, keygen)
+        assert not oracle.evaluate_rows(bad, oracle.take_rows(5)).any()
 
 
 class TestGroupChecks:

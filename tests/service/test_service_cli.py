@@ -41,10 +41,11 @@ class TestEnrollAndSweep:
 
     def test_attack_sweep_reports_recoveries(self, capsys):
         assert main(["service", "sweep", "--scheme", "group-based",
-                     "--devices", "2", "--kind", "attack",
+                     "--devices", "2", "--kind", "attack-results",
                      "--shards", "2", "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "keys recovered" in out
+        assert "attack: 2/2 keys recovered" in out
+        assert "oracle queries" in out
 
 
 class TestSingleHostCheck:
@@ -100,5 +101,6 @@ class TestArgumentErrors:
 
     def test_fuzzy_attack_sweep_rejected(self, capsys):
         assert main(["service", "sweep", "--scheme", "fuzzy",
-                     "--devices", "2", "--kind", "attack"]) == 2
+                     "--devices", "2", "--kind",
+                     "attack-results"]) == 2
         assert "no attack campaign" in capsys.readouterr().out

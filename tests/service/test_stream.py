@@ -13,11 +13,10 @@ import pytest
 
 from repro._rng import spawn
 from repro.core import SequentialPairingAttack
-from repro.fleet import Fleet
+from repro.fleet import Fleet, attack_recovered
 from repro.keygen import SequentialPairingKeyGen
 from repro.puf import ROArrayParams
 from repro.service import (
-    KIND_ATTACK,
     KIND_ATTACK_RESULTS,
     KIND_FAILURE,
     PopulationSpec,
@@ -40,6 +39,13 @@ def attack_factory(oracle, keygen, helper):
 @pytest.fixture(scope="module")
 def population():
     return PopulationSpec(params=PARAMS, devices=DEVICES, seed=SEED)
+
+
+def projection(results, enrollment):
+    """Per-device ``(recovered, queries)`` of an attack campaign."""
+    return [(attack_recovered(result, key, helper), result.queries)
+            for result, key, helper in zip(results, enrollment.keys,
+                                           enrollment.helpers)]
 
 
 def fresh_single_host():
@@ -70,16 +76,25 @@ class TestBitwiseEquality:
         assert handle.report.verdict == "clean"
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_attack_success(self, population, shards):
+    def test_attack_recovery(self, population, shards):
+        # Key recovery and the query bill are projections of the
+        # merged results; the streamed lines carry the bills too.
         fleet, enrollment = fresh_single_host()
-        recovered, queries = fleet.attack_success(enrollment,
-                                                  attack_factory)
-        handle = submit_sweep(population, keygen_factory, KIND_ATTACK,
+        expected = projection(
+            fleet.attack_results(enrollment, attack_factory),
+            enrollment)
+        handle = submit_sweep(population, keygen_factory,
+                              KIND_ATTACK_RESULTS,
                               attack_factory=attack_factory,
                               shards=shards, workers=2)
-        got_recovered, got_queries = handle.collect()
-        np.testing.assert_array_equal(got_recovered, recovered)
-        np.testing.assert_array_equal(got_queries, queries)
+        streamed = {}
+        for result in handle:
+            line = result.to_json()
+            streamed[line["shard"]] = line["queries"]
+        assert projection(handle.collect(), enrollment) == expected
+        bills = [bill for shard in sorted(streamed)
+                 for bill in streamed[shard]]
+        assert bills == [queries for _, queries in expected]
 
     def test_attack_results(self, population):
         fleet, enrollment = fresh_single_host()
@@ -156,8 +171,8 @@ class TestValidation:
 
     def test_attack_needs_factory(self, population):
         with pytest.raises(ValueError, match="attack_factory"):
-            submit_sweep(population, keygen_factory, KIND_ATTACK,
-                         trials=10)
+            submit_sweep(population, keygen_factory,
+                         KIND_ATTACK_RESULTS, trials=10)
 
     def test_population_needs_devices(self):
         with pytest.raises(ValueError):
